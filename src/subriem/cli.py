@@ -9,6 +9,7 @@ endpoint, 4 search failure, 5 verification failure.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from contextlib import contextmanager
 
@@ -34,8 +35,29 @@ CSV_FMT = "%.12g"
 JSON_FMT = "%.17g"
 
 
+#: flags whose comma-separated value may start with a minus sign
+_VECTOR_FLAGS = ("--covector", "--point", "--init-p", "--init-x")
+_NEGATIVE_VALUE = re.compile(r"-\.?\d")
+
+
 class _Parser(argparse.ArgumentParser):
-    """argparse exits with code 2 on bad usage; the contract here is 1."""
+    """argparse exits with code 2 on bad usage; the contract here is 1.
+
+    argparse would also read the value in ``--covector -0.57,0.3,5`` as an
+    option; a vector flag followed by a value that starts with a negative
+    number is read as ``--covector=-0.57,0.3,5``.
+    """
+
+    def parse_known_args(self, args=None, namespace=None):
+        args = list(sys.argv[1:] if args is None else args)
+        joined = []
+        for arg in args:
+            if (joined and joined[-1] in _VECTOR_FLAGS
+                    and _NEGATIVE_VALUE.match(arg)):
+                joined[-1] = f"{joined[-1]}={arg}"
+            else:
+                joined.append(arg)
+        return super().parse_known_args(joined, namespace)
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -79,9 +101,12 @@ def _json_dumps(obj, indent: int = 0) -> str:
 
 def _parse_vector(text: str, name: str) -> np.ndarray:
     try:
-        return np.array([float(part) for part in text.split(",")])
+        vec = np.array([float(part) for part in text.split(",")])
     except ValueError:
         raise ConfigError(f"could not parse {name} {text!r} as comma-separated floats") from None
+    if not np.all(np.isfinite(vec)):
+        raise ConfigError(f"{name} {text!r} has a non-finite entry")
+    return vec
 
 
 def _parse_range(text: str, name: str) -> tuple[float, float]:

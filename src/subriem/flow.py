@@ -4,7 +4,8 @@ Integrates the canonical Hamilton equations ``qdot = dH/dp, pdot = -dH/dq``
 jointly with the linearized flow ``Phidot = S(t) Phi`` as one augmented system
 (2n + 4n^2 components) so state and fundamental matrix share step selection.
 The integrator is an embedded Dormand-Prince 5(4) pair with PI step-size
-control and exact landing on requested sample times.
+control and exact landing on requested sample times.  It advances a batch of
+B such systems with shared steps; a single extremal is the batch B = 1.
 
 States and fundamental matrices are stored in (q, p) ordering; use
 ``linalg.block_swap`` to pass to the (p, x) ordering of the Jacobi machinery.
@@ -12,9 +13,9 @@ States and fundamental matrices are stored in (q, p) ordering; use
 
 from __future__ import annotations
 
-import bisect
+import math
 from dataclasses import dataclass
-from typing import IO, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -41,16 +42,21 @@ _E = _B - np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
                     -92097 / 339200, 187 / 2100, 1 / 40])
 
 _MAX_STEPS = 1_000_000
+_EPS = np.finfo(float).eps
 
 
 def _dopri5(fun, t0: float, y0: np.ndarray, targets: Sequence[float],
-            rtol: float, atol: float):
+            rtol: float, atol: float) -> np.ndarray:
     """Integrate ``ydot = fun(t, y)`` from ``t0``, landing exactly on each target.
 
-    Returns the list of states at the targets (which must be >= t0, sorted).
+    ``y0`` has shape (B, D): B systems share one step sequence, and a step is
+    accepted when the worst per-system scaled RMS error is at most one, so
+    every system meets the tolerance; a single system is B = 1.  Returns the
+    states at the targets (which must be >= t0, sorted) with shape
+    (B, len(targets), D).
     """
     targets = list(targets)
-    out: list[np.ndarray] = []
+    out = np.empty((y0.shape[0], len(targets), y0.shape[1]))
     t, y = t0, y0.copy()
     f = fun(t, y)
     if not np.all(np.isfinite(f)):
@@ -58,7 +64,7 @@ def _dopri5(fun, t0: float, y0: np.ndarray, targets: Sequence[float],
 
     ti = 0
     while ti < len(targets) and targets[ti] <= t + 1e-15 * max(1.0, abs(t)):
-        out.append(y.copy())
+        out[:, ti] = y
         ti += 1
     if ti == len(targets):
         return out
@@ -70,8 +76,7 @@ def _dopri5(fun, t0: float, y0: np.ndarray, targets: Sequence[float],
     d1 = np.sqrt(np.mean((f / sc) ** 2))
     h0 = 1e-6 if d1 < 1e-10 else 0.01 * d0 / d1
     h0 = min(h0, t_end - t)
-    y1 = y + h0 * f
-    f1 = fun(t + h0, y1)
+    f1 = fun(t + h0, y + h0 * f)
     d2 = np.sqrt(np.mean(((f1 - f) / sc) ** 2)) / h0 if h0 > 0 else 0.0
     if max(d1, d2) <= 1e-15:
         h = min(max(h0 * 1e3, 1e-6), t_end - t)
@@ -80,11 +85,12 @@ def _dopri5(fun, t0: float, y0: np.ndarray, targets: Sequence[float],
     h = max(h, 1e-12 * max(1.0, abs(t_end)))
 
     err_prev = 1e-4
-    stages = np.empty((7, y.size))
+    stages = np.empty((7,) + y.shape)
+    k = stages.reshape(7, -1)          # stage combinations as coeffs @ k
     rejected = False
 
     for _ in range(_MAX_STEPS):
-        h_floor = 16 * np.finfo(float).eps * max(abs(t), 1.0)
+        h_floor = 16 * _EPS * max(abs(t), 1.0)
         if h < h_floor:
             raise StepSizeUnderflowError(
                 f"step size underflow at t = {t:.6g} (stiffness failure)")
@@ -93,15 +99,15 @@ def _dopri5(fun, t0: float, y0: np.ndarray, targets: Sequence[float],
         stages[0] = f
         bad = False
         for i in range(1, 6):
-            yi = y + h * (stages[:i].T @ _A[i, :i])
+            yi = y + h * (_A[i, :i] @ k[:i]).reshape(y.shape)
             stages[i] = fun(t + _C[i] * h, yi)
-            if not np.all(np.isfinite(stages[i])):
+            if not np.isfinite(stages[i]).all():
                 bad = True
                 break
         if not bad:
-            y_new = y + h * (stages[:6].T @ _B[:6])
+            y_new = y + h * (_B[:6] @ k[:6]).reshape(y.shape)
             stages[6] = fun(t + h, y_new)
-            bad = not np.all(np.isfinite(stages[6]))
+            bad = not np.isfinite(stages[6]).all()
         if bad:
             h *= 0.25
             rejected = True
@@ -109,15 +115,14 @@ def _dopri5(fun, t0: float, y0: np.ndarray, targets: Sequence[float],
                 raise NonFiniteStateError(f"state became non-finite near t = {t:.6g}")
             continue
 
-        err_vec = h * (stages.T @ _E)
         sc = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
-        err = np.sqrt(np.mean((err_vec / sc) ** 2))
+        ratio = h * (_E @ k).reshape(y.shape) / sc
+        err = math.sqrt(float(np.max(np.einsum("bd,bd->b", ratio, ratio))) / y.shape[1])
 
         if err <= 1.0:
-            t_new = t + h
-            t, y, f = t_new, y_new, stages[6]
+            t, y, f = t + h, y_new, stages[6].copy()
             while ti < len(targets) and abs(targets[ti] - t) <= 1e-14 * max(1.0, abs(t)):
-                out.append(y.copy())
+                out[:, ti] = y
                 ti += 1
             if ti == len(targets):
                 return out
@@ -134,158 +139,27 @@ def _dopri5(fun, t0: float, y0: np.ndarray, targets: Sequence[float],
     raise IntegrationError("step budget exhausted")
 
 
-def _dopri5_batch(fun, t0: float, y0: np.ndarray, targets: Sequence[float],
-                  rtol: float, atol: float):
-    """Batched integrator: ``y0`` has shape (B, D) and steps are shared.
-
-    The accept/reject decision uses the worst per-system scaled RMS error, so
-    every system in the batch individually meets the tolerance.
-    """
-    targets = list(targets)
-    out: list[np.ndarray] = []
-    t, y = t0, y0.copy()
-    f = fun(t, y)
-    if not np.all(np.isfinite(f)):
-        raise NonFiniteStateError("vector field not finite at the initial state")
-
-    ti = 0
-    while ti < len(targets) and targets[ti] <= t + 1e-15 * max(1.0, abs(t)):
-        out.append(y.copy())
-        ti += 1
-    if ti == len(targets):
-        return out
-    t_end = targets[-1]
-
-    def err_norm(err_vec, y_old, y_new):
-        sc = atol + rtol * np.maximum(np.abs(y_old), np.abs(y_new))
-        per_system = np.sqrt(np.mean((err_vec / sc) ** 2, axis=1))
-        return float(np.max(per_system))
-
-    sc = atol + rtol * np.abs(y)
-    d0 = np.sqrt(np.mean((y / sc) ** 2))
-    d1 = np.sqrt(np.mean((f / sc) ** 2))
-    h0 = 1e-6 if d1 < 1e-10 else 0.01 * d0 / d1
-    h0 = min(h0, t_end - t)
-    f1 = fun(t + h0, y + h0 * f)
-    d2 = np.sqrt(np.mean(((f1 - f) / sc) ** 2)) / h0 if h0 > 0 else 0.0
-    if max(d1, d2) <= 1e-15:
-        h = min(max(h0 * 1e3, 1e-6), t_end - t)
-    else:
-        h = min(100 * h0, (0.01 / max(d1, d2)) ** 0.2, t_end - t)
-    h = max(h, 1e-12 * max(1.0, abs(t_end)))
-
-    err_prev = 1e-4
-    stages = np.empty((7,) + y.shape)
-    rejected = False
-
-    for _ in range(_MAX_STEPS):
-        h_floor = 16 * np.finfo(float).eps * max(abs(t), 1.0)
-        if h < h_floor:
-            raise StepSizeUnderflowError(
-                f"step size underflow at t = {t:.6g} (stiffness failure)")
-        h = min(h, targets[ti] - t)
-
-        stages[0] = f
-        bad = False
-        for i in range(1, 6):
-            yi = y + h * np.tensordot(_A[i, :i], stages[:i], axes=(0, 0))
-            stages[i] = fun(t + _C[i] * h, yi)
-            if not np.all(np.isfinite(stages[i])):
-                bad = True
-                break
-        if not bad:
-            y_new = y + h * np.tensordot(_B[:6], stages[:6], axes=(0, 0))
-            stages[6] = fun(t + h, y_new)
-            bad = not np.all(np.isfinite(stages[6]))
-        if bad:
-            h *= 0.25
-            rejected = True
-            if h < h_floor:
-                raise NonFiniteStateError(f"state became non-finite near t = {t:.6g}")
-            continue
-
-        err_vec = h * np.tensordot(_E, stages, axes=(0, 0))
-        err = err_norm(err_vec, y, y_new)
-
-        if err <= 1.0:
-            t, y, f = t + h, y_new, stages[6].copy()
-            while ti < len(targets) and abs(targets[ti] - t) <= 1e-14 * max(1.0, abs(t)):
-                out.append(y.copy())
-                ti += 1
-            if ti == len(targets):
-                return out
-            err = max(err, 1e-10)
-            fac = 0.9 * err ** -0.14 * err_prev ** 0.08
-            fac = min(5.0 if not rejected else 1.0, max(0.2, fac))
-            h *= fac
-            err_prev = err
-            rejected = False
-        else:
-            h *= min(1.0, max(0.2, 0.9 * err ** -0.2))
-            rejected = True
-    raise IntegrationError("step budget exhausted")
-
-
 def _augmented_rhs(struct: Structure):
-    n = struct.n
-
-    def rhs(t, y):
-        q = y[:n]
-        p = y[n:2 * n]
-        phi = y[2 * n:].reshape(2 * n, 2 * n)
-        _, gq, gp, hqq, hqp, hpp = struct.jet_raw(q, p)
-        s_mat = np.empty((2 * n, 2 * n))
-        s_mat[:n, :n] = hqp.T
-        s_mat[:n, n:] = hpp
-        s_mat[n:, :n] = -hqq
-        s_mat[n:, n:] = -hqp
-        dy = np.empty_like(y)
-        dy[:n] = gp
-        dy[n:2 * n] = -gq
-        dy[2 * n:] = (s_mat @ phi).ravel()
-        return dy
-
-    return rhs
-
-
-def _augmented_rhs_batch(struct: Structure):
+    """Hamilton's equations plus the variational equation on (B, 2n + 4n^2) rows."""
     n = struct.n
 
     def rhs(t, y):
         b = y.shape[0]
-        q = y[:, :n]
-        p = y[:, n:2 * n]
-        phi = y[:, 2 * n:].reshape(b, 2 * n, 2 * n)
-        _, gq, gp, hqq, hqp, hpp = struct.jet_raw_batch(q, p)
+        _, gq, gp, hqq, hqp, hpp = struct.jet_raw_batch(y[:, :n], y[:, n:2 * n])
+        # S = J Hess, so that Phi' = S Phi
         s_mat = np.empty((b, 2 * n, 2 * n))
         s_mat[:, :n, :n] = hqp.transpose(0, 2, 1)
         s_mat[:, :n, n:] = hpp
-        s_mat[:, n:, :n] = -hqq
-        s_mat[:, n:, n:] = -hqp
+        np.negative(hqq, out=s_mat[:, n:, :n])
+        np.negative(hqp, out=s_mat[:, n:, n:])
         dy = np.empty_like(y)
         dy[:, :n] = gp
-        dy[:, n:2 * n] = -gq
-        dy[:, 2 * n:] = np.matmul(s_mat, phi).reshape(b, -1)
+        np.negative(gq, out=dy[:, n:2 * n])
+        np.matmul(s_mat, y[:, 2 * n:].reshape(b, 2 * n, 2 * n),
+                  out=dy[:, 2 * n:].reshape(b, 2 * n, 2 * n))
         return dy
 
     return rhs
-
-
-@dataclass(frozen=True)
-class Ray:
-    """Ray t -> t * covector in the fiber over ``point``, on [a, b]."""
-
-    point: np.ndarray
-    covector: np.ndarray
-    a: float
-    b: float
-
-    def __post_init__(self):
-        if self.a < 0 or self.b <= self.a:
-            raise ValueError("ray interval must satisfy 0 <= a < b")
-
-    def __call__(self, t: float) -> np.ndarray:
-        return t * np.asarray(self.covector, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -324,13 +198,12 @@ class ExtremalTrajectory:
         hit = self._locate(t)
         if hit is not None:
             return self.states[hit].copy(), self.phis[hit].copy()
-        j = bisect.bisect_right(self.ts.tolist(), t) - 1
-        j = max(j, 0)
+        j = max(int(np.searchsorted(self.ts, t, side="right")) - 1, 0)
         n = self.n
-        y0 = np.concatenate([self.states[j], self.phis[j].ravel()])
-        (y,) = _dopri5(_augmented_rhs(self.structure), float(self.ts[j]), y0,
-                       [t], rtol=self.tol, atol=ABS_FLOOR)
-        return y[:2 * n].copy(), y[2 * n:].reshape(2 * n, 2 * n).copy()
+        y0 = np.concatenate([self.states[j], self.phis[j].ravel()])[None]
+        y = _dopri5(_augmented_rhs(self.structure), float(self.ts[j]), y0,
+                    [t], rtol=self.tol, atol=ABS_FLOOR)[0, 0]
+        return y[:2 * n], y[2 * n:].reshape(2 * n, 2 * n)
 
     def state_at(self, t: float) -> np.ndarray:
         return self.at(t)[0]
@@ -353,19 +226,33 @@ class ExtremalTrajectory:
         om = omega_qp(self.n)
         return max(symplectic_defect(phi, om) for phi in self.phis)
 
-    def write_csv(self, stream: IO[str], with_phi: bool = False,
-                  fmt: str = "%.12g") -> None:
-        n = self.n
-        header = ["t"] + [f"q{i+1}" for i in range(n)] + [f"p{i+1}" for i in range(n)] + ["H"]
-        if with_phi:
-            header += [f"phi_{r+1}_{c+1}" for r in range(2 * n) for c in range(2 * n)]
-        stream.write(",".join(header) + "\n")
-        for t, state, phi in zip(self.ts, self.states, self.phis):
-            h_val = self.structure.hamiltonian_raw(state[:n], state[n:])
-            row = [t, *state, h_val]
-            if with_phi:
-                row += list(phi.ravel())
-            stream.write(",".join(fmt % v for v in row) + "\n")
+
+def _integrate(struct: Structure, points: np.ndarray, covectors: np.ndarray,
+               t_final: float, tol: float,
+               samples: int | Sequence[float] | None) -> list[ExtremalTrajectory]:
+    """Shared core of the entry points: validates the span, tolerance and
+    sample grid, then integrates the (B, n) initial data as one batch."""
+    if t_final <= 0:
+        raise ValueError("t_final must be positive")
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    if samples is None:
+        samples = 65
+    if isinstance(samples, int):
+        if samples < 2:
+            raise ValueError("need at least 2 samples")
+        grid = np.linspace(0.0, t_final, samples)
+    else:
+        grid = np.unique(np.concatenate([[0.0, t_final], np.asarray(samples, dtype=float)]))
+        if grid[0] < 0 or grid[-1] > t_final * (1 + 1e-12):
+            raise ValueError("sample times must lie in [0, t_final]")
+
+    b, n = covectors.shape
+    y0 = np.hstack([points, covectors, np.tile(np.eye(2 * n).ravel(), (b, 1))])
+    ys = _dopri5(_augmented_rhs(struct), 0.0, y0, grid, rtol=tol, atol=ABS_FLOOR)
+    return [ExtremalTrajectory(struct, points[j], covectors[j], float(t_final), tol, grid,
+                               ys[j, :, :2 * n], ys[j, :, 2 * n:].reshape(-1, 2 * n, 2 * n))
+            for j in range(b)]
 
 
 def integrate_extremal(struct: Structure, point, covector, t_final: float,
@@ -375,41 +262,16 @@ def integrate_extremal(struct: Structure, point, covector, t_final: float,
 
     ``samples`` selects the stored grid: an integer asks for that many uniform
     sample times, an array is used as-is (forced landings, always extended with
-    0 and t_final), and None means 65 uniform samples.
+    0 and t_final; every time must lie in [0, t_final]), and None means 65
+    uniform samples.
     """
-    if t_final <= 0:
-        raise ValueError("t_final must be positive")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     q0 = np.asarray(point, dtype=float)
     p0 = np.asarray(covector, dtype=float)
     n = struct.n
     if q0.shape != (n,) or p0.shape != (n,):
         raise DimensionMismatchError(
             f"point/covector must have shape ({n},), got {q0.shape} and {p0.shape}")
-
-    if samples is None:
-        grid = None
-    elif isinstance(samples, int):
-        if samples < 2:
-            raise ValueError("need at least 2 samples")
-        grid = np.linspace(0.0, t_final, samples)
-    else:
-        grid = np.unique(np.concatenate([[0.0, t_final], np.asarray(samples, dtype=float)]))
-        if grid[0] < 0 or grid[-1] > t_final * (1 + 1e-12):
-            raise ValueError("sample times must lie in [0, t_final]")
-
-    y0 = np.concatenate([q0, p0, np.eye(2 * n).ravel()])
-    rhs = _augmented_rhs(struct)
-
-    if grid is None:
-        grid = np.linspace(0.0, t_final, 65)
-
-    ys = _dopri5(rhs, 0.0, y0, list(grid), rtol=tol, atol=ABS_FLOOR)
-    states = np.array([y[:2 * n] for y in ys])
-    phis = np.array([y[2 * n:].reshape(2 * n, 2 * n) for y in ys])
-    return ExtremalTrajectory(struct, q0, p0, float(t_final), tol,
-                              np.asarray(grid, dtype=float), states, phis)
+    return _integrate(struct, q0[None], p0[None], t_final, tol, samples)[0]
 
 
 def integrate_extremal_batch(struct: Structure, point, covectors, t_final: float,
@@ -421,10 +283,8 @@ def integrate_extremal_batch(struct: Structure, point, covectors, t_final: float
     ``point`` is one base point shared by the batch or an array of shape
     (B, n); ``covectors`` has shape (B, n).  Each trajectory individually
     meets the tolerance (the step controller uses the worst per-system
-    error).  Results are identical in contract to ``integrate_extremal``.
+    error).  Arguments and results follow ``integrate_extremal``.
     """
-    if t_final <= 0:
-        raise ValueError("t_final must be positive")
     covs = np.atleast_2d(np.asarray(covectors, dtype=float))
     b = covs.shape[0]
     n = struct.n
@@ -435,28 +295,7 @@ def integrate_extremal_batch(struct: Structure, point, covectors, t_final: float
         pts = np.broadcast_to(pts, (b, n)).copy()
     if pts.shape != (b, n):
         raise DimensionMismatchError(f"points must have shape (B, {n})")
-
-    if samples is None:
-        grid = np.linspace(0.0, t_final, 65)
-    elif isinstance(samples, int):
-        if samples < 2:
-            raise ValueError("need at least 2 samples")
-        grid = np.linspace(0.0, t_final, samples)
-    else:
-        grid = np.unique(np.concatenate([[0.0, t_final], np.asarray(samples, dtype=float)]))
-
-    eye = np.eye(2 * n).ravel()
-    y0 = np.hstack([pts, covs, np.tile(eye, (b, 1))])
-    ys = _dopri5_batch(_augmented_rhs_batch(struct), 0.0, y0, list(grid),
-                       rtol=tol, atol=ABS_FLOOR)
-    trajectories = []
-    for j in range(b):
-        states = np.array([y[j, :2 * n] for y in ys])
-        phis = np.array([y[j, 2 * n:].reshape(2 * n, 2 * n) for y in ys])
-        trajectories.append(ExtremalTrajectory(
-            struct, pts[j], covs[j], float(t_final), tol,
-            np.asarray(grid, dtype=float), states, phis))
-    return trajectories
+    return _integrate(struct, pts, covs, t_final, tol, samples)
 
 
 def exp_map(struct: Structure, point, covector, tol: float = DEFAULT_TOL) -> np.ndarray:

@@ -15,7 +15,6 @@ the induced scalar product on the configuration space is the Euclidean one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import IO
 
 import numpy as np
 
@@ -71,13 +70,6 @@ class JacobiCoordinates:
     def at(self, t: float) -> tuple[np.ndarray, np.ndarray]:
         i = self._index_of(t)
         return self.ps[i], self.xs[i]
-
-    def write_csv(self, stream: IO[str], fmt: str = "%.12g") -> None:
-        n = self.ps.shape[1]
-        header = ["t"] + [f"p{i+1}" for i in range(n)] + [f"x{i+1}" for i in range(n)]
-        stream.write(",".join(header) + "\n")
-        for t, p, x in zip(self.ts, self.ps, self.xs):
-            stream.write(",".join(fmt % v for v in [t, *p, *x]) + "\n")
 
 
 def propagate_jacobi(struct: Structure, traj: ExtremalTrajectory,

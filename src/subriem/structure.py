@@ -78,6 +78,27 @@ class SparsePolynomial:
             out.append((tuple(new), coef * expo[j]))
         return SparsePolynomial.from_terms(self.nvars, out)
 
+    def _same_vars(self, other: "SparsePolynomial") -> None:
+        if other.nvars != self.nvars:
+            raise DimensionMismatchError(
+                f"polynomials in {self.nvars} and {other.nvars} variables")
+
+    def __add__(self, other: "SparsePolynomial") -> "SparsePolynomial":
+        self._same_vars(other)
+        return SparsePolynomial.from_terms(self.nvars, self.terms + other.terms)
+
+    def __mul__(self, other) -> "SparsePolynomial":
+        """Exact product with another polynomial in the same variables or a scalar."""
+        if not isinstance(other, SparsePolynomial):
+            return SparsePolynomial.from_terms(
+                self.nvars, [(expo, coef * other) for expo, coef in self.terms])
+        self._same_vars(other)
+        return SparsePolynomial.from_terms(self.nvars, [
+            (tuple(a + b for a, b in zip(ea, eb)), ca * cb)
+            for ea, ca in self.terms for eb, cb in other.terms])
+
+    __rmul__ = __mul__
+
     @property
     def is_zero(self) -> bool:
         return not self.terms
@@ -128,79 +149,66 @@ class PhaseState:
         return self.q.shape[0]
 
 
-class _JetTables:
-    """Stacked monomial tables for vectorized evaluation of all field components
-    and their first and second q-derivatives in a single pass.
+def _momentum_polynomial(field: PolyVectorField) -> SparsePolynomial:
+    """h(q, p) = <p, X(q)> as a polynomial in the 2n phase variables (q, p)."""
+    n = field.n
+    terms = []
+    for i, comp in enumerate(field.components):
+        p_i = tuple(int(j == i) for j in range(n))
+        terms += [(expo + p_i, coef) for expo, coef in comp.terms]
+    return SparsePolynomial.from_terms(2 * n, terms)
 
-    Derivative layouts are chosen so the Hamiltonian jet assembles with plain
-    matrix products: ``grad[k, j, i] = d(X_k)_i / dq_j`` and
-    ``hess[k, j, l, i] = d^2(X_k)_i / dq_j dq_l`` (symmetric in j, l exactly).
+
+class _JetTable:
+    """One monomial table for the momenta and the exact jet of H in z = (q, p).
+
+    ``H = 1/2 sum_k h_k^2`` is expanded into one polynomial in the 2n phase
+    variables and differentiated exactly.  The table's columns are the momenta
+    h_1..h_m, H, the gradient dH/dz_j and one polynomial d^2H/dz_j dz_l per
+    pair l >= j, which fills both Hessian entries, so the Hessian is exactly
+    symmetric.  Every column is a coefficient vector over one shared list of
+    monomials, so all of them come out of one matrix product at any batch size.
     """
 
     def __init__(self, struct: "Structure"):
-        n, m = struct.n, struct.m
-        exps, coefs, rows = [], [], []
-        sizes = (m * n, m * n * n, m * n * n * n)
-        offsets = (0, sizes[0], sizes[0] + sizes[1])
+        d = 2 * struct.n
+        momenta = [_momentum_polynomial(field) for field in struct.fields]
+        ham = 0.5 * sum((h * h for h in momenta), SparsePolynomial(d, ()))
+        grad = [ham.diff(j) for j in range(d)]
+        pairs = [(j, l) for j in range(d) for l in range(j, d)]
+        columns = momenta + [ham] + grad + [grad[j].diff(l) for j, l in pairs]
 
-        def push(poly: SparsePolynomial, flat_index: int, offset: int):
+        monomials = sorted({expo for poly in columns for expo, _ in poly.terms})
+        row_of = {expo: r for r, expo in enumerate(monomials)}
+        self.coefs = np.zeros((len(monomials), len(columns)))
+        for col, poly in enumerate(columns):
             for expo, coef in poly.terms:
-                exps.append(expo)
-                coefs.append(coef)
-                rows.append(offset + flat_index)
+                self.coefs[row_of[expo], col] = coef
+        self.top = max((max(expo) for expo in monomials), default=0)
+        # monomial r is the product of powers.reshape(B, -1)[:, gather[r]], where
+        # powers[:, e, j] = z_j^e; entry 0 (z_0^0 = 1) pads the short rows
+        factors = [[e * d + j for j, e in enumerate(expo) if e] for expo in monomials]
+        width = max(map(len, factors), default=0)
+        self.gather = np.array([f + [0] * (width - len(f)) for f in factors],
+                               dtype=np.int64).reshape(len(monomials), width)
+        m = struct.m
+        hess_cols = np.empty((d, d), dtype=np.int64)
+        for col, (j, l) in enumerate(pairs, start=m + 1 + d):
+            hess_cols[j, l] = hess_cols[l, j] = col
+        self.hess_cols = hess_cols.ravel()
+        self.m, self.d = m, d
 
-        for k, field in enumerate(struct.fields):
-            for i, poly in enumerate(field.components):
-                push(poly, k * n + i, offsets[0])
-                grads = [poly.diff(j) for j in range(n)]
-                for j, gpoly in enumerate(grads):
-                    push(gpoly, (k * n + j) * n + i, offsets[1])
-                    for l in range(j, n):
-                        hpoly = gpoly.diff(l)
-                        if hpoly.is_zero:
-                            continue
-                        push(hpoly, ((k * n + j) * n + l) * n + i, offsets[2])
-                        if l != j:
-                            push(hpoly, ((k * n + l) * n + j) * n + i, offsets[2])
-
-        self.exps = np.array(exps, dtype=np.int64).reshape(len(exps), n)
-        self.coefs = np.array(coefs)
-        self.rows = np.array(rows, dtype=np.int64)
-        self.total = sum(sizes)
-        self.sizes = sizes
-        self.has_hess = bool(np.any(self.rows >= offsets[2])) if len(rows) else False
-        self.m, self.n = m, n
-        # dense scatter matrix (total x R) for batched evaluation
-        self.scatter = np.zeros((self.total, len(coefs)))
-        for col, (row, coef) in enumerate(zip(self.rows, self.coefs)):
-            self.scatter[row, col] = coef
-
-    def evaluate(self, q: np.ndarray):
-        """Flat (value, grad, hess) arrays; see class docstring for layouts."""
-        if self.exps.shape[0]:
-            mono = np.prod(np.power(q[None, :], self.exps), axis=1)
-            flat = np.bincount(self.rows, weights=self.coefs * mono, minlength=self.total)
-        else:
-            flat = np.zeros(self.total)
-        sv, sg, _ = self.sizes
-        m, n = self.m, self.n
-        return (flat[:sv].reshape(m, n),
-                flat[sv:sv + sg].reshape(m, n, n),
-                flat[sv + sg:].reshape(m, n, n, n))
-
-    def evaluate_batch(self, q_batch: np.ndarray):
-        """Batched variant over q_batch of shape (B, n)."""
-        b = q_batch.shape[0]
-        m, n = self.m, self.n
-        if self.exps.shape[0]:
-            mono = np.prod(np.power(q_batch[:, None, :], self.exps[None, :, :]), axis=2)
-            flat = mono @ self.scatter.T
-        else:
-            flat = np.zeros((b, self.total))
-        sv, sg, _ = self.sizes
-        return (flat[:, :sv].reshape(b, m, n),
-                flat[:, sv:sv + sg].reshape(b, m, n, n),
-                flat[:, sv + sg:].reshape(b, m, n, n, n))
+    def evaluate(self, z: np.ndarray):
+        """Momenta (B, m), H (B,), gradient (B, 2n) and Hessian (B, 2n, 2n) at
+        the rows of ``z`` (B, 2n)."""
+        b, d, m = z.shape[0], self.d, self.m
+        powers = np.empty((b, self.top + 1, d))
+        powers[:, 0] = 1.0
+        for e in range(1, self.top + 1):
+            np.multiply(powers[:, e - 1], z, out=powers[:, e])
+        flat = powers.reshape(b, -1)[:, self.gather].prod(axis=2) @ self.coefs
+        return (flat[:, :m], flat[:, m], flat[:, m + 1:m + 1 + d],
+                flat.take(self.hess_cols, axis=1).reshape(b, d, d))
 
 
 @dataclass(frozen=True)
@@ -228,18 +236,23 @@ class Structure:
         return Structure(fields[0].n, len(fields), fields, name)
 
     @cached_property
-    def _tables(self) -> _JetTables:
-        return _JetTables(self)
+    def _table(self) -> _JetTable:
+        return _JetTable(self)
 
     def _check_state(self, state: PhaseState):
         if state.n != self.n:
             raise DimensionMismatchError(f"state on R^{state.n}, structure on R^{self.n}")
 
+    def _jet_blocks(self, z: np.ndarray):
+        _, values, grad, hess = self._table.evaluate(z)
+        n = self.n
+        return (values, grad[:, :n], grad[:, n:],
+                hess[:, :n, :n], hess[:, :n, n:], hess[:, n:, n:])
+
     # raw-array entry points used by the integrators (hot path)
 
     def momenta_raw(self, q: np.ndarray, p: np.ndarray) -> np.ndarray:
-        value, _, _ = self._tables.evaluate(q)
-        return value @ p
+        return self._table.evaluate(np.concatenate([q, p])[None])[0][0]
 
     def hamiltonian_raw(self, q: np.ndarray, p: np.ndarray) -> float:
         h = self.momenta_raw(q, p)
@@ -252,19 +265,8 @@ class Structure:
         symmetric; the full Hessian in (q, p) order is
         ``[[hqq, hqp], [hqp.T, hpp]]``.
         """
-        tables = self._tables
-        m, n = tables.m, tables.n
-        value, grad, hess = tables.evaluate(q)
-        h = value @ p                                        # (m,)
-        hq = (grad.reshape(m * n, n) @ p).reshape(m, n)      # d h_k / d q_j
-        gq = h @ hq
-        gp = h @ value
-        hpp = value.T @ value
-        hqp = hq.T @ value + (h @ grad.reshape(m, n * n)).reshape(n, n)
-        hqq = hq.T @ hq
-        if tables.has_hess:
-            hqq = hqq + (h @ (hess.reshape(m * n * n, n) @ p).reshape(m, n * n)).reshape(n, n)
-        return 0.5 * float(h @ h), gq, gp, hqq, hqp, hpp
+        values, gq, gp, hqq, hqp, hpp = self._jet_blocks(np.concatenate([q, p])[None])
+        return float(values[0]), gq[0], gp[0], hqq[0], hqp[0], hpp[0]
 
     def hessian_blocks(self, q: np.ndarray, p: np.ndarray):
         """(hqq, hqp, hpp) of H at (q, p), each n x n, hqq and hpp exactly symmetric."""
@@ -277,26 +279,7 @@ class Structure:
         Returns ``(values (B,), gq (B,n), gp (B,n), hqq, hqp, hpp)`` with the
         Hessian blocks of shape (B, n, n).
         """
-        tables = self._tables
-        b = q_batch.shape[0]
-        m, n = tables.m, tables.n
-        value, grad, hess = tables.evaluate_batch(q_batch)
-        p_col = p_batch[:, :, None]
-        h = np.matmul(value, p_col)[:, :, 0]                       # (B, m)
-        hq = np.matmul(grad.reshape(b, m * n, n), p_col).reshape(b, m, n)
-        h_row = h[:, None, :]
-        gq = np.matmul(h_row, hq)[:, 0, :]
-        gp = np.matmul(h_row, value)[:, 0, :]
-        value_t = value.transpose(0, 2, 1)
-        hq_t = hq.transpose(0, 2, 1)
-        hpp = np.matmul(value_t, value)
-        hqp = np.matmul(hq_t, value) + np.matmul(h_row, grad.reshape(b, m, n * n)).reshape(b, n, n)
-        hqq = np.matmul(hq_t, hq)
-        if tables.has_hess:
-            hp = np.matmul(hess.reshape(b, m * n * n, n), p_col).reshape(b, m, n * n)
-            hqq = hqq + np.matmul(h_row, hp).reshape(b, n, n)
-        values = 0.5 * np.einsum("bm,bm->b", h, h)
-        return values, gq, gp, hqq, hqp, hpp
+        return self._jet_blocks(np.concatenate([q_batch, p_batch], axis=1))
 
 
 # ---------------------------------------------------------------------------
@@ -327,15 +310,8 @@ def hamiltonian_jet(struct: Structure, state: PhaseState):
     blocks [[H_qq, H_qp], [H_pq, H_pp]]; it is symmetric exactly.
     """
     struct._check_state(state)
-    value, gq, gp, hqq, hqp, hpp = struct.jet_raw(state.q, state.p)
-    n = struct.n
-    grad = np.concatenate([gq, gp])
-    hess = np.zeros((2 * n, 2 * n))
-    hess[:n, :n] = hqq
-    hess[:n, n:] = hqp
-    hess[n:, :n] = hqp.T
-    hess[n:, n:] = hpp
-    return value, grad, hess
+    _, values, grad, hess = struct._table.evaluate(np.concatenate([state.q, state.p])[None])
+    return float(values[0]), grad[0], hess[0]
 
 
 # ---------------------------------------------------------------------------

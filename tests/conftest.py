@@ -4,7 +4,7 @@ import pytest
 
 from subriem.flow import integrate_extremal
 from subriem.heisenberg import ALPHA_STAR
-from subriem.structure import make_structure
+from subriem.structure import PolyVectorField, Structure, make_structure
 
 hypothesis.settings.register_profile("suite", max_examples=25, deadline=None,
                                      derandomize=True)
@@ -21,6 +21,15 @@ def heis():
 @pytest.fixture(scope="session")
 def eucl3():
     return make_structure("euclidean:3")
+
+
+@pytest.fixture(scope="session")
+def quadratic():
+    """Degree-2 fields on R^2: the jet's second-derivative terms are nonzero."""
+    f1 = PolyVectorField.from_lists(2, [[((2, 0), 0.3), ((0, 1), -0.4)],
+                                        [((1, 1), 0.25)]])
+    f2 = PolyVectorField.from_lists(2, [[((0, 0), 1.0)], [((0, 2), 0.2)]])
+    return Structure(2, 2, (f1, f2), name="quadratic")
 
 
 def _reference_trajectory(struct, alpha):

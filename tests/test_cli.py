@@ -207,3 +207,27 @@ def test_csv_uses_twelve_significant_digits(capsys):
     for cell in row[1:]:
         mantissa = cell.replace("-", "").replace(".", "").split("e")[0].lstrip("0")
         assert len(mantissa) <= 12
+
+
+def test_vector_flags_accept_negative_values(capsys):
+    code, out, err = run(capsys, "conjugate", "--covector", "-0.57,0.3,5")
+    assert code == 0, err
+    assert json.loads(out) == []
+    code, out, err = run(capsys, "geodesic", "--point", "-1,0,0", "--covector",
+                         "-1,0,0", "--samples", "2")
+    assert code == 0, err
+    assert out.strip().split("\n")[-1].startswith("1,-2,0,0,-1,0,0,")
+    code, out, err = run(capsys, "jacobi", "--covector", "1,0,2", "--init-p", "-0,1,0",
+                         "--init-x", "-1,0,0", "--samples", "2")
+    assert code == 0, err
+    assert out.strip().split("\n")[1] == "0,0,1,0,-1,0,0"
+
+
+@pytest.mark.parametrize("flag, value", [("--covector", "nan,0,1"),
+                                         ("--covector", "1,0,inf"),
+                                         ("--point", "nan,0,0")])
+def test_non_finite_vector_is_config_error(capsys, flag, value):
+    argv = ["conjugate", "--covector", "1,0,7", flag, value]
+    code, _, err = run(capsys, *argv)
+    assert code == 1
+    assert "non-finite" in err

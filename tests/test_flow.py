@@ -1,12 +1,11 @@
-import io
 import math
 
 import numpy as np
 import pytest
 
 from subriem.errors import DimensionMismatchError, IntegrationError
-from subriem.flow import (Ray, check_constant_speed, d_exp, exp_map,
-                          integrate_extremal, integrate_extremal_batch)
+from subriem.flow import (check_constant_speed, d_exp, exp_map, integrate_extremal,
+                          integrate_extremal_batch)
 from subriem.heisenberg import HeisCovector, heis_state
 from subriem.structure import PolyVectorField, Structure
 
@@ -133,37 +132,30 @@ def test_euclidean_speed_is_covector_norm(eucl3):
     assert 2 * traj.hamiltonian_values()[0] == pytest.approx(lam @ lam, rel=1e-15)
 
 
-def test_csv_export_shape_and_format(heis):
-    traj = integrate_extremal(heis, np.zeros(3), np.array([1.0, 0.5, 2.0]), 1.0,
-                              samples=5)
-    buf = io.StringIO()
-    traj.write_csv(buf)
-    lines = buf.getvalue().strip().split("\n")
-    assert lines[0] == "t,q1,q2,q3,p1,p2,p3,H"
-    assert len(lines) == 6
-    buf = io.StringIO()
-    traj.write_csv(buf, with_phi=True)
-    header = buf.getvalue().split("\n")[0].split(",")
-    assert len(header) == 8 + 36
-    assert header[8] == "phi_1_1"
-
-
 def test_integrator_input_validation(heis):
-    with pytest.raises(ValueError):
-        integrate_extremal(heis, np.zeros(3), np.ones(3), -1.0)
-    with pytest.raises(ValueError):
-        integrate_extremal(heis, np.zeros(3), np.ones(3), 1.0, tol=-1e-9)
+    single = [np.zeros(3), np.ones(3)]
+    batch = [np.zeros(3), np.ones((2, 3))]
+    for entry, args in ((integrate_extremal, single), (integrate_extremal_batch, batch)):
+        with pytest.raises(ValueError):
+            entry(heis, *args, -1.0)
+        with pytest.raises(ValueError):
+            entry(heis, *args, 1.0, tol=-1e-9)
+        with pytest.raises(ValueError):
+            entry(heis, *args, 1.0, samples=1)
+        for samples in ([-0.3, 0.5], [0.5, 1.7]):
+            with pytest.raises(ValueError, match="sample times"):
+                entry(heis, *args, 1.0, samples=samples)
     with pytest.raises(DimensionMismatchError):
         integrate_extremal(heis, np.zeros(2), np.ones(3), 1.0)
+    with pytest.raises(DimensionMismatchError):
+        integrate_extremal_batch(heis, np.zeros(3), np.ones((2, 2)), 1.0)
+    with pytest.raises(DimensionMismatchError):
+        integrate_extremal_batch(heis, np.zeros((3, 3)), np.ones((2, 3)), 1.0)
 
 
-def test_general_degree_two_structure_flow_invariants():
+def test_general_degree_two_structure_flow_invariants(quadratic):
     # degree-2 fields push the flow through the full polynomial-Hessian path
-    f1 = PolyVectorField.from_lists(2, [[((2, 0), 0.3), ((0, 1), -0.4)],
-                                        [((1, 1), 0.25)]])
-    f2 = PolyVectorField.from_lists(2, [[((0, 0), 1.0)], [((0, 2), 0.2)]])
-    struct = Structure(2, 2, (f1, f2), name="quadratic")
-    traj = integrate_extremal(struct, np.array([0.3, -0.2]), np.array([0.8, 0.5]),
+    traj = integrate_extremal(quadratic, np.array([0.3, -0.2]), np.array([0.8, 0.5]),
                               1.0, 1e-10, samples=17)
     assert traj.energy_drift() <= 1e-9
     assert traj.symplectic_defect() <= 1e-7
@@ -177,13 +169,6 @@ def test_blowup_is_reported_as_integration_failure():
     struct = Structure(1, 1, (field,), name="blowup")
     with pytest.raises(IntegrationError):
         integrate_extremal(struct, np.zeros(1), np.array([1.0]), 3.0)
-
-
-def test_ray_validation():
-    ray = Ray(np.zeros(3), np.array([1.0, 0, 0]), 0.0, 2.0)
-    assert np.allclose(ray(0.5), [0.5, 0, 0])
-    with pytest.raises(ValueError):
-        Ray(np.zeros(3), np.ones(3), 1.0, 0.5)
 
 
 def test_batch_matches_single_integration(heis):

@@ -1,4 +1,3 @@
-import io
 import math
 
 import numpy as np
@@ -210,12 +209,3 @@ def test_derivative_space_independent_of_frame_choice(heis, traj_2pi):
     rep = decomposition(heis, traj_2pi, 1.0)
     angles = principal_angles(rep.basis_derivatives, space_new)
     assert np.max(angles) <= 1e-6
-
-
-def test_jacobi_csv_export(heis, traj_2pi):
-    coords = propagate_jacobi(heis, traj_2pi, np.ones(3), np.zeros(3))
-    buf = io.StringIO()
-    coords.write_csv(buf)
-    lines = buf.getvalue().strip().split("\n")
-    assert lines[0] == "t,p1,p2,p3,x1,x2,x3"
-    assert len(lines) == len(traj_2pi.ts) + 1

@@ -59,43 +59,62 @@ def test_hamiltonian_nonnegative_and_zero_iff_momenta_vanish(q, p):
     assert (h_val == 0) == bool(np.all(momenta == 0))
 
 
-def test_jet_gradient_matches_finite_differences(heis):
-    rng = np.random.default_rng(1)
+# Heisenberg fields are affine; the degree-2 ``quadratic`` fields also run the
+# second q-derivative terms of the Hessian.
+
+def test_jet_gradient_matches_finite_differences(heis, quadratic):
     step = 1e-6
-    for _ in range(20):
-        z = rng.uniform(-2, 2, 6)
-        st_ = state(z[:3], z[3:])
-        _, grad, _ = hamiltonian_jet(heis, st_)
-        for i in range(6):
-            dz = np.zeros(6)
-            dz[i] = step
-            plus = hamiltonian(heis, state((z + dz)[:3], (z + dz)[3:]))
-            minus = hamiltonian(heis, state((z - dz)[:3], (z - dz)[3:]))
-            fd = (plus - minus) / (2 * step)
-            assert abs(grad[i] - fd) <= 1e-6 * max(1.0, abs(fd))
+    for struct in (heis, quadratic):
+        rng = np.random.default_rng(1)
+        n = struct.n
+        for _ in range(20):
+            z = rng.uniform(-2, 2, 2 * n)
+            _, grad, _ = hamiltonian_jet(struct, state(z[:n], z[n:]))
+            for i in range(2 * n):
+                dz = np.zeros(2 * n)
+                dz[i] = step
+                plus = hamiltonian(struct, state((z + dz)[:n], (z + dz)[n:]))
+                minus = hamiltonian(struct, state((z - dz)[:n], (z - dz)[n:]))
+                fd = (plus - minus) / (2 * step)
+                assert abs(grad[i] - fd) <= 1e-6 * max(1.0, abs(fd))
 
 
-def test_jet_hessian_matches_gradient_differences(heis):
-    rng = np.random.default_rng(2)
+def test_jet_hessian_matches_gradient_differences(heis, quadratic):
     step = 1e-6
-    for _ in range(10):
-        z = rng.uniform(-2, 2, 6)
-        _, _, hess = hamiltonian_jet(heis, state(z[:3], z[3:]))
-        for i in range(6):
-            dz = np.zeros(6)
-            dz[i] = step
-            _, gp, _ = hamiltonian_jet(heis, state((z + dz)[:3], (z + dz)[3:]))
-            _, gm, _ = hamiltonian_jet(heis, state((z - dz)[:3], (z - dz)[3:]))
-            fd = (gp - gm) / (2 * step)
-            assert np.max(np.abs(hess[:, i] - fd)) <= 1e-5 * max(1.0, np.max(np.abs(fd)))
+    for struct in (heis, quadratic):
+        rng = np.random.default_rng(2)
+        n = struct.n
+        for _ in range(10):
+            z = rng.uniform(-2, 2, 2 * n)
+            _, _, hess = hamiltonian_jet(struct, state(z[:n], z[n:]))
+            for i in range(2 * n):
+                dz = np.zeros(2 * n)
+                dz[i] = step
+                _, gp, _ = hamiltonian_jet(struct, state((z + dz)[:n], (z + dz)[n:]))
+                _, gm, _ = hamiltonian_jet(struct, state((z - dz)[:n], (z - dz)[n:]))
+                fd = (gp - gm) / (2 * step)
+                assert np.max(np.abs(hess[:, i] - fd)) <= 1e-5 * max(1.0, np.max(np.abs(fd)))
 
 
-def test_jet_hessian_exactly_symmetric(heis):
-    rng = np.random.default_rng(3)
-    for _ in range(20):
-        z = rng.uniform(-2, 2, 6)
-        _, _, hess = hamiltonian_jet(heis, state(z[:3], z[3:]))
-        assert np.array_equal(hess, hess.T)
+def test_jet_hessian_exactly_symmetric(heis, quadratic):
+    for struct in (heis, quadratic):
+        rng = np.random.default_rng(3)
+        n = struct.n
+        for _ in range(20):
+            z = rng.uniform(-2, 2, 2 * n)
+            _, _, hess = hamiltonian_jet(struct, state(z[:n], z[n:]))
+            assert np.array_equal(hess, hess.T)
+
+
+def test_jet_batch_rows_match_single_jet(heis, quadratic):
+    for struct in (heis, quadratic):
+        rng = np.random.default_rng(6)
+        n = struct.n
+        q, p = rng.uniform(-2, 2, (2, 7, n))
+        batch = struct.jet_raw_batch(q, p)
+        for i in range(7):
+            for got, want in zip(batch, struct.jet_raw(q[i], p[i])):
+                assert np.allclose(got[i], want, rtol=1e-14, atol=1e-14)
 
 
 def test_jet_gradient_vanishes_at_zero_covector(heis):
@@ -137,6 +156,18 @@ def test_polynomial_derivative_is_exact():
     q = np.array([1.5, -0.5])
     assert dx(q) == pytest.approx(6 * q[0] * q[1])
     assert dy(q) == pytest.approx(3 * q[0] ** 2 - 3 * q[1] ** 2)
+
+
+def test_polynomial_product_is_exact():
+    x_plus_2y = SparsePolynomial.from_terms(2, [((1, 0), 1.0), ((0, 1), 2.0)])
+    x_minus_y = SparsePolynomial.from_terms(2, [((1, 0), 1.0), ((0, 1), -1.0)])
+    assert (x_plus_2y * x_minus_y).terms == (
+        ((0, 2), -2.0), ((1, 1), 1.0), ((2, 0), 1.0))
+    assert (0.5 * x_minus_y).terms == (((0, 1), -0.5), ((1, 0), 0.5))
+    assert (x_plus_2y + x_minus_y).terms == (((0, 1), 1.0), ((1, 0), 2.0))
+    assert (x_minus_y * SparsePolynomial(2, ())).is_zero
+    with pytest.raises(DimensionMismatchError):
+        x_plus_2y * SparsePolynomial.from_terms(3, [((1, 0, 0), 1.0)])
 
 
 def test_dimension_mismatch_errors(heis):
