@@ -44,16 +44,21 @@ class _Parser(argparse.ArgumentParser):
     """argparse exits with code 2 on bad usage; the contract here is 1.
 
     argparse would also read the value in ``--covector -0.57,0.3,5`` as an
-    option; a vector flag followed by a value that starts with a negative
-    number is read as ``--covector=-0.57,0.3,5``.
+    option; a vector flag (or an unambiguous abbreviation of one, such as
+    ``--cov``) followed by a value that starts with a negative number is read
+    as ``--covector=-0.57,0.3,5``.
     """
+
+    def _names_vector_flag(self, arg: str) -> bool:
+        names = [name for name in self._option_string_actions if name.startswith(arg)]
+        return arg.startswith("--") and len(names) == 1 and names[0] in _VECTOR_FLAGS
 
     def parse_known_args(self, args=None, namespace=None):
         args = list(sys.argv[1:] if args is None else args)
         joined = []
         for arg in args:
-            if (joined and joined[-1] in _VECTOR_FLAGS
-                    and _NEGATIVE_VALUE.match(arg)):
+            if (joined and _NEGATIVE_VALUE.match(arg)
+                    and self._names_vector_flag(joined[-1])):
                 joined[-1] = f"{joined[-1]}={arg}"
             else:
                 joined.append(arg)
@@ -236,17 +241,21 @@ def _cmd_jacobi(args) -> int:
     return EXIT_OK
 
 
+def _conjugate_reports(struct, point, covector, t_min, t_max, tol):
+    """Conjugate times in (t_min, t_max), shared by ``conjugate`` and ``maslov``."""
+    if not 0 <= t_min < t_max:
+        raise ConfigError("need 0 <= --t-min < --t-max")
+    try:
+        return mas.count_conjugate_on_ray(struct, point, covector, t_min, t_max, tol)
+    except ZeroHamiltonianError:
+        raise ConfigError("zero Hamiltonian: the covector generates a trivial geodesic") from None
+
+
 def _cmd_conjugate(args) -> int:
     struct = _resolve_structure(args)
     tol = _check_tol(args.tol)
     point, covector = _point_covector(args, struct.n)
-    if not 0 <= args.t_min < args.t_max:
-        raise ConfigError("need 0 <= --t-min < --t-max")
-    try:
-        reports = mas.count_conjugate_on_ray(struct, point, covector,
-                                             args.t_min, args.t_max, tol)
-    except ZeroHamiltonianError:
-        raise ConfigError("zero Hamiltonian: the covector generates a trivial geodesic") from None
+    reports = _conjugate_reports(struct, point, covector, args.t_min, args.t_max, tol)
     payload = []
     for rep in reports:
         entry = rep.to_json_dict()
@@ -269,16 +278,7 @@ def _cmd_maslov(args) -> int:
     struct = _resolve_structure(args)
     tol = _check_tol(args.tol)
     point, covector = _point_covector(args, struct.n)
-    if not 0 <= args.t_min < args.t_max:
-        raise ConfigError("need 0 <= --t-min < --t-max")
-    if struct.hamiltonian_raw(point, covector) <= 1e-30:
-        raise ConfigError("zero Hamiltonian: the covector generates a trivial geodesic")
-    t_total = args.t_max * (1 + 1e-3) + 1e-3
-    grid = mas._scan_grid(args.t_min, args.t_max)
-    traj = integrate_extremal(struct, point, covector, t_total, tol, samples=grid)
-    curve = mas.JacobiCurveSamples.sample(struct, traj, "jacobi", grid)
-    reports = mas.locate_crossings(curve, mas.vertical_frame(struct.n),
-                                   args.t_min, args.t_max)
+    reports = _conjugate_reports(struct, point, covector, args.t_min, args.t_max, tol)
     payload = {
         "index": sum(rep.signature for rep in reports),
         "crossings": [rep.to_json_dict() for rep in reports],

@@ -205,6 +205,20 @@ class ExtremalTrajectory:
                     [t], rtol=self.tol, atol=ABS_FLOOR)[0, 0]
         return y[:2 * n], y[2 * n:].reshape(2 * n, 2 * n)
 
+    def phis_at(self, ts) -> np.ndarray:
+        """Fundamental matrices (T, 2n, 2n) at many times: stored samples are
+        indexed as ``_locate`` matches them, other times go through ``at``."""
+        ts = np.asarray(ts, dtype=float)
+        i = np.searchsorted(self.ts, ts)
+        tol = 1e-12 * np.maximum(1.0, np.abs(ts))
+        left = np.maximum(i - 1, 0)
+        idx = np.where((i > 0) & (np.abs(self.ts[left] - ts) <= tol),
+                       left, np.minimum(i, len(self.ts) - 1))
+        phis = self.phis[idx]
+        for k in np.flatnonzero(np.abs(self.ts[idx] - ts) > tol):
+            phis[k] = self.at(float(ts[k]))[1]
+        return phis
+
     def state_at(self, t: float) -> np.ndarray:
         return self.at(t)[0]
 
@@ -236,6 +250,8 @@ def _integrate(struct: Structure, points: np.ndarray, covectors: np.ndarray,
         raise ValueError("t_final must be positive")
     if tol <= 0:
         raise ValueError("tol must be positive")
+    if not (np.all(np.isfinite(points)) and np.all(np.isfinite(covectors))):
+        raise ValueError("point and covector must be finite")
     if samples is None:
         samples = 65
     if isinstance(samples, int):

@@ -12,11 +12,14 @@ Two curves of Lagrangian subspaces are attached to an extremal, both framed in
   same times with the same multiplicities but with positive crossing forms.
 
 Crossings against a reference Lagrangian L0 are located through the n x n
-pairing ``G(t) = L0^T Omega F(t)``: its kernel is the intersection.  Sign
-changes of det G bracket odd-multiplicity crossings; a singular-value sweep
-at fixed resolution catches even-multiplicity touches.  An indicator that
-vanishes along a whole sub-interval signals an abnormal segment and aborts
-(the counting theory assumes ideal structures).
+pairing ``G(t) = L0^T Omega F(t)``: its kernel is the intersection.  The scan
+is one stacked pass (the grid's frames checked together, one SVD and one det
+call over all G).  Sign changes of det G bracket odd-multiplicity crossings;
+a singular-value sweep at fixed resolution catches even-multiplicity touches.
+An indicator that vanishes along a whole sub-interval signals an abnormal
+segment and aborts (the counting theory assumes ideal structures).  Crossing
+forms ``omega(F c, F' c)`` are exact: F' comes from ``Phi' = S Phi`` with the
+Hamiltonian Hessian, so on the Jacobi curve the form is ``-c^T H_pp c``.
 """
 
 from __future__ import annotations
@@ -55,14 +58,7 @@ class LagrangianFrame:
         if mat.ndim != 2 or mat.shape[0] != 2 * mat.shape[1]:
             raise ValueError(f"frame must be 2n x n, got {mat.shape}")
         object.__setattr__(self, "matrix", mat)
-        n = mat.shape[1]
-        rank, _ = numerical_rank(mat)
-        if rank != n:
-            raise ValueError("frame columns do not span an n-dimensional space")
-        defect = np.max(np.abs(mat.T @ omega_px(n) @ mat))
-        scale = float(np.sum(mat * mat))
-        if defect > 1e-9 * scale:
-            raise ValueError(f"frame is not isotropic (defect {defect:.3e})")
+        _check_lagrangian(mat[None])
 
     @property
     def n(self) -> int:
@@ -70,6 +66,22 @@ class LagrangianFrame:
 
     def isotropy_defect(self) -> float:
         return float(np.max(np.abs(self.matrix.T @ omega_px(self.n) @ self.matrix)))
+
+
+def _check_lagrangian(mats: np.ndarray) -> None:
+    """Require every 2n x n matrix of the (T, 2n, n) stack to have rank n
+    (the ``numerical_rank`` threshold and ambiguity band) and isotropic
+    columns (defect at most 1e-9 of the squared norm)."""
+    svals = np.linalg.svd(mats, compute_uv=False)
+    deficient = np.flatnonzero(~(svals[:, -1] > RANK_REL_TOL * svals[:, 0]))
+    if len(deficient):
+        numerical_rank(mats[deficient[0]])  # raises inside the ambiguity band
+        raise ValueError("frame columns do not span an n-dimensional space")
+    defect = np.max(np.abs(np.swapaxes(mats, 1, 2) @ omega_px(mats.shape[2]) @ mats),
+                    axis=(1, 2))
+    bad = np.flatnonzero(defect > 1e-9 * np.sum(mats * mats, axis=(1, 2)))
+    if len(bad):
+        raise ValueError(f"frame is not isotropic (defect {defect[bad[0]]:.3e})")
 
 
 def vertical_frame(n: int) -> LagrangianFrame:
@@ -80,34 +92,32 @@ def horizontal_frame(n: int) -> LagrangianFrame:
     return LagrangianFrame(np.vstack([np.zeros((n, n)), np.eye(n)]))
 
 
-def _phi_px(traj: ExtremalTrajectory, t: float) -> np.ndarray:
-    return block_swap(traj.phi_at(t))
-
-
 def _sympl_inverse(phi_px: np.ndarray) -> np.ndarray:
-    """Inverse of a symplectic matrix in (p, x) order: Omega^{-1} M^T Omega."""
-    n = phi_px.shape[0] // 2
-    m1 = phi_px[:n, :n]
-    m2 = phi_px[:n, n:]
-    m3 = phi_px[n:, :n]
-    m4 = phi_px[n:, n:]
-    inv = np.empty_like(phi_px)
-    inv[:n, :n] = m4.T
-    inv[:n, n:] = -m2.T
-    inv[n:, :n] = -m3.T
-    inv[n:, n:] = m1.T
-    return inv
+    """Inverse of symplectic matrices (..., 2n, 2n) in (p, x) order:
+    Omega^{-1} M^T Omega (a signed block permutation, so exact)."""
+    om = omega_px(phi_px.shape[-1] // 2)
+    return om.T @ np.swapaxes(phi_px, -1, -2) @ om
+
+
+def _curve_frames(kind: str, phis: np.ndarray) -> np.ndarray:
+    """Frames (..., 2n, n) in (p, x) order of the Jacobi curve Phi^{-1} [I; 0]
+    or the forward curve Phi [I; 0], from (..., 2n, 2n) fundamental matrices in
+    (q, p) order; only the q rows [A | B] of Phi give Phi^{-1} [I; 0] = [A^T; -B^T]."""
+    n = phis.shape[-1] // 2
+    if kind == "l":
+        return phis[..., np.r_[n:2 * n, :n], n:]
+    return np.concatenate([np.swapaxes(phis[..., :n, :n], -1, -2),
+                           -np.swapaxes(phis[..., :n, n:], -1, -2)], axis=-2)
 
 
 def jacobi_curve(struct: Structure, traj: ExtremalTrajectory, t: float) -> LagrangianFrame:
     """Vertical space transported backward: columns of Phi(t)^{-1} [I; 0]."""
-    inv = _sympl_inverse(_phi_px(traj, t))
-    return LagrangianFrame(inv[:, :struct.n])
+    return LagrangianFrame(_curve_frames("jacobi", traj.phi_at(t)))
 
 
 def l_curve(struct: Structure, traj: ExtremalTrajectory, t: float) -> LagrangianFrame:
     """Vertical space transported forward: columns of Phi(t) [I; 0]."""
-    return LagrangianFrame(_phi_px(traj, t)[:, :struct.n])
+    return LagrangianFrame(_curve_frames("l", traj.phi_at(t)))
 
 
 def intersection_dim(f: LagrangianFrame, g: LagrangianFrame) -> int:
@@ -123,30 +133,42 @@ class JacobiCurveSamples:
 
     ``kind`` records the orientation: "jacobi" for the backward-transported
     curve in the fixed tangent space at the initial covector, "l" for the
-    forward curve along the extremal.
+    forward curve along the extremal.  Frames are read off the trajectory's
+    fundamental matrices on demand.
     """
 
     traj: ExtremalTrajectory
     kind: str
     ts: np.ndarray
-    frames: list[LagrangianFrame]
 
     @staticmethod
     def sample(struct: Structure, traj: ExtremalTrajectory, kind: str,
                ts: Sequence[float]) -> "JacobiCurveSamples":
         if kind not in ("jacobi", "l"):
             raise ValueError("kind must be 'jacobi' or 'l'")
-        build = jacobi_curve if kind == "jacobi" else l_curve
-        ts = np.asarray(ts, dtype=float)
-        frames = [build(struct, traj, t) for t in ts]
-        return JacobiCurveSamples(traj, kind, ts, frames)
+        return JacobiCurveSamples(traj, kind, np.asarray(ts, dtype=float))
 
     def frame_at(self, t: float) -> LagrangianFrame:
-        hits = np.nonzero(np.abs(self.ts - t) <= 1e-14 * max(1.0, abs(t)))[0]
-        if len(hits):
-            return self.frames[int(hits[0])]
         build = jacobi_curve if self.kind == "jacobi" else l_curve
         return build(self.traj.structure, self.traj, t)
+
+    def frames_at(self, ts: np.ndarray) -> np.ndarray:
+        """Frames at every time of ``ts`` as one checked (T, 2n, n) stack."""
+        frames = _curve_frames(self.kind, self.traj.phis_at(ts))
+        _check_lagrangian(frames)
+        return frames
+
+    def velocity_at(self, t: float) -> np.ndarray:
+        """Exact frame derivative F'(t) from Phi' = S Phi, S = J Hess H(lambda(t))
+        (here in (p, x) order): the Jacobi curve moves as -Phi^{-1} S [I; 0],
+        the forward curve as S Phi [I; 0]."""
+        state, phi = self.traj.at(t)
+        n = self.traj.n
+        hqq, hqp, hpp = self.traj.structure.hessian_blocks(state[:n], state[n:])
+        s_px = np.block([[-hqp, -hqq], [hpp, hqp.T]])
+        if self.kind == "jacobi":
+            return -_sympl_inverse(block_swap(phi)) @ s_px[:, :n]
+        return s_px @ _curve_frames("l", phi)
 
     def reversed_over(self, r: float, s: float) -> "_ReversedCurve":
         """The time-reversed curve tau -> frame(r + s - tau) on the same window."""
@@ -158,12 +180,14 @@ class _ReversedCurve:
     base: JacobiCurveSamples
     total: float
 
-    @property
-    def traj(self) -> ExtremalTrajectory:
-        return self.base.traj
-
     def frame_at(self, t: float) -> LagrangianFrame:
         return self.base.frame_at(self.total - t)
+
+    def frames_at(self, ts: np.ndarray) -> np.ndarray:
+        return self.base.frames_at(self.total - np.asarray(ts))
+
+    def velocity_at(self, t: float) -> np.ndarray:
+        return -self.base.velocity_at(self.total - t)
 
 
 def _pairing_matrix(l0: LagrangianFrame, frame: LagrangianFrame) -> np.ndarray:
@@ -171,18 +195,13 @@ def _pairing_matrix(l0: LagrangianFrame, frame: LagrangianFrame) -> np.ndarray:
 
 
 def crossing_form(curve, t_star: float, l0: LagrangianFrame,
-                  h: float | None = None,
                   multiplicity: int | None = None) -> np.ndarray:
     """Quadratic form omega(z, zdot) on the intersection of the curve with l0
-    at t_star, as a symmetric k x k matrix.
-
-    Intersection vectors are extended with constant frame coordinates (any
-    smooth extension inside the curve gives the same form); the frame
-    derivative is a 5-point finite-difference stencil with step
-    ``h = 1e-4 * max(1, |t_star|)`` unless overridden.  When the caller has
-    already decided the intersection dimension (the scan does), passing it as
-    ``multiplicity`` selects that many smallest singular directions instead of
-    re-running the rank decision.
+    at t_star, as the symmetric k x k matrix ``c^T F^T Omega F' c`` over the
+    intersection coefficients c, with the curve's exact derivative F'.
+    When the caller has already decided the intersection dimension (the scan
+    does), passing it as ``multiplicity`` selects that many smallest singular
+    directions instead of re-running the rank decision.
     """
     f_star = curve.frame_at(t_star)
     g_mat = _pairing_matrix(l0, f_star)
@@ -191,26 +210,9 @@ def crossing_form(curve, t_star: float, l0: LagrangianFrame,
     else:
         _, _, vt = np.linalg.svd(g_mat)
         coeffs = vt[l0.n - multiplicity:].T.copy()
-    k = coeffs.shape[1]
-    if k == 0:
+    if coeffs.shape[1] == 0:
         raise ValueError(f"curve does not meet the reference Lagrangian at t = {t_star}")
-    if h is None:
-        h = 1e-4 * max(1.0, abs(t_star))
-    t_max = curve.traj.t_final
-    if t_star - 2 * h >= 0 and t_star + 2 * h <= t_max:
-        stencil = ((-2, 1 / 12), (-1, -2 / 3), (1, 2 / 3), (2, -1 / 12))
-    elif t_star + 4 * h <= t_max:
-        stencil = ((0, -25 / 12), (1, 4.0), (2, -3.0), (3, 4 / 3), (4, -1 / 4))
-    elif t_star - 4 * h >= 0:
-        stencil = ((0, 25 / 12), (-1, -4.0), (-2, 3.0), (-3, -4 / 3), (-4, 1 / 4))
-    else:
-        raise ValueError("trajectory span too short for the derivative stencil")
-    f_dot = np.zeros_like(f_star.matrix)
-    for off, wgt in stencil:
-        f_dot += wgt * (f_star.matrix if off == 0 else curve.frame_at(t_star + off * h).matrix)
-    f_dot /= h
-    om = omega_px(l0.n)
-    form = coeffs.T @ (f_star.matrix.T @ om @ f_dot) @ coeffs
+    form = coeffs.T @ (f_star.matrix.T @ omega_px(l0.n) @ curve.velocity_at(t_star)) @ coeffs
     return 0.5 * (form + form.T)
 
 
@@ -250,9 +252,7 @@ class CrossingReport:
 
 def _scan_grid(r: float, s: float) -> np.ndarray:
     base = np.linspace(r, s, 257)
-    n_sweep = int(math.ceil((s - r) / SWEEP_STEP))
-    if n_sweep > SWEEP_CAP:
-        n_sweep = SWEEP_CAP
+    n_sweep = min(int(math.ceil((s - r) / SWEEP_STEP)), SWEEP_CAP)
     sweep = np.linspace(r, s, max(n_sweep, 2))
     return np.unique(np.concatenate([base, sweep]))
 
@@ -329,74 +329,58 @@ def locate_crossings(curve, l0: LagrangianFrame, r: float, s: float) -> list[Cro
     """
     if not s > r:
         raise ValueError("need r < s")
-    n = l0.n
     grid = _scan_grid(r, s)
-    dets = np.empty(len(grid))
-    sigmas = np.empty(len(grid))
-    scale = 0.0
-    for i, t in enumerate(grid):
-        g_mat = _pairing_matrix(l0, curve.frame_at(t))
-        svals = np.linalg.svd(g_mat, compute_uv=False)
-        dets[i] = np.linalg.det(g_mat)
-        sigmas[i] = svals[-1]
-        scale = max(scale, svals[0])
-    scale = max(scale, 1e-300)
-    ratios = sigmas / scale
+    g_mats = (l0.matrix.T @ omega_px(l0.n)) @ curve.frames_at(grid)
+    svals = np.linalg.svd(g_mats, compute_uv=False)
+    dets = np.linalg.det(g_mats)
+    scale = max(float(svals[:, 0].max()), 1e-300)
+    ratios = svals[:, -1] / scale
     near_zero = ratios < 10 * RANK_REL_TOL
+    negative = dets < 0
 
-    run = 0
-    for val in ratios < 1e-10:
-        run = run + 1 if val else 0
-        if run >= 10:
-            raise NonIdealStructureError(
-                "crossing indicator vanishes on a sub-interval; "
-                "structure has an abnormal segment (not ideal)")
+    tiny = np.flatnonzero(ratios < 1e-10)
+    if np.any(tiny[9:] - tiny[:-9] == 9):  # ten adjacent grid points
+        raise NonIdealStructureError(
+            "crossing indicator vanishes on a sub-interval; "
+            "structure has an abnormal segment (not ideal)")
 
     for label, idx in (("left", 0), ("right", len(grid) - 1)):
         if near_zero[idx]:
             raise CrossingEndpointError(f"{label} endpoint t = {grid[idx]} is a crossing")
 
     crossings: list[tuple[float, float, float]] = []
-    consumed_cells: set[int] = set()
+    consumed = np.zeros(len(grid) - 1, dtype=bool)   # cell i is [grid[i], grid[i + 1]]
 
-    # grid points sitting (numerically) on a crossing: refine each group of
+    # grid points sitting (numerically) on a crossing: refine each run of
     # adjacent near-zero samples by minimizing sigma_min over its neighborhood
-    i = 1
-    while i < len(grid) - 1:
-        if near_zero[i]:
-            j = i
-            while j + 1 < len(grid) - 1 and near_zero[j + 1]:
-                j += 1
-            lo, hi = grid[i - 1], grid[j + 1]
-            if (dets[i - 1] < 0) != (dets[j + 1] < 0):
-                t_star, lo2, hi2 = _refine_sign_change(curve, l0, lo, hi, dets[i - 1])
-                crossings.append((t_star, lo2, hi2))
-            else:
-                t_star, _ = _refine_touch(curve, l0, lo, hi)
-                crossings.append((t_star, lo, hi))
-            consumed_cells.update(range(i - 1, j + 1))
-            i = j + 1
+    edges = np.diff(near_zero.astype(np.int8))
+    for i, j in zip(np.flatnonzero(edges == 1) + 1, np.flatnonzero(edges == -1)):
+        lo, hi = grid[i - 1], grid[j + 1]
+        if negative[i - 1] != negative[j + 1]:
+            t_star, lo2, hi2 = _refine_sign_change(curve, l0, lo, hi, dets[i - 1])
+            crossings.append((t_star, lo2, hi2))
         else:
-            i += 1
+            t_star, _ = _refine_touch(curve, l0, lo, hi)
+            crossings.append((t_star, lo, hi))
+        consumed[i - 1:j + 1] = True
 
     # odd-multiplicity crossings: sign changes of det G
-    for i in range(len(grid) - 1):
-        if i in consumed_cells or near_zero[i] or near_zero[i + 1]:
-            continue
-        if (dets[i] < 0) != (dets[i + 1] < 0):
-            consumed_cells.add(i)
-            t_star, lo, hi = _refine_sign_change(curve, l0, grid[i], grid[i + 1], dets[i])
-            crossings.append((t_star, lo, hi))
+    flips = (negative[:-1] != negative[1:]) & ~near_zero[:-1] & ~near_zero[1:] & ~consumed
+    for i in np.flatnonzero(flips):
+        consumed[i] = True
+        crossings.append(_refine_sign_change(curve, l0, grid[i], grid[i + 1], dets[i]))
 
     # even-multiplicity touches: local minima of sigma_min without a sign change
-    for i in range(1, len(grid) - 1):
-        if ratios[i] <= ratios[i - 1] and ratios[i] <= ratios[i + 1] and ratios[i] < 1e-4:
-            if {i - 1, i} & consumed_cells or near_zero[i]:
-                continue
-            t_star, sigma_min = _refine_touch(curve, l0, grid[i - 1], grid[i + 1])
-            if sigma_min / scale < 10 * RANK_REL_TOL:
-                consumed_cells.update((i - 1, i))
-                crossings.append((t_star, grid[i - 1], grid[i + 1]))
+    inner = ratios[1:-1]
+    minima = ((inner <= ratios[:-2]) & (inner <= ratios[2:]) & (inner < 1e-4)
+              & ~near_zero[1:-1])
+    for i in np.flatnonzero(minima) + 1:
+        if consumed[i - 1] or consumed[i]:
+            continue
+        t_star, sigma_min = _refine_touch(curve, l0, grid[i - 1], grid[i + 1])
+        if sigma_min / scale < 10 * RANK_REL_TOL:
+            consumed[i - 1:i + 1] = True
+            crossings.append((t_star, grid[i - 1], grid[i + 1]))
 
     crossings.sort(key=lambda c: c[0])
     for (t1, _, _), (t2, _, _) in zip(crossings, crossings[1:]):
@@ -409,8 +393,7 @@ def locate_crossings(curve, l0: LagrangianFrame, r: float, s: float) -> list[Cro
         mult = _multiplicity(curve, l0, t_star, scale)
         if mult == 0:
             continue
-        form = crossing_form(curve, t_star, l0, h=1e-4 * max(1.0, abs(t_star)),
-                             multiplicity=mult)
+        form = crossing_form(curve, t_star, l0, multiplicity=mult)
         reports.append(CrossingReport(t_star, mult, form_signature(form), (lo, hi)))
     return reports
 
@@ -424,10 +407,22 @@ def maslov_index(curve, l0: LagrangianFrame, r: float, s: float) -> int:
     return sum(rep.signature for rep in locate_crossings(curve, l0, r, s))
 
 
+def _scan_ray(struct: Structure, traj: ExtremalTrajectory, r: float,
+              s: float) -> list[CrossingReport]:
+    """Crossings of the ray's Jacobi curve with the vertical in (r, s); the
+    Maslov count (-index = total multiplicity) is asserted."""
+    curve = JacobiCurveSamples.sample(struct, traj, "jacobi", traj.ts)
+    reports = locate_crossings(curve, vertical_frame(struct.n), r, s)
+    index = sum(rep.signature for rep in reports)
+    total = sum(rep.multiplicity for rep in reports)
+    if -index != total:
+        raise SubriemError(
+            f"Maslov count inconsistent: index {index}, total multiplicity {total}")
+    return reports
+
+
 def count_conjugate_on_ray(struct: Structure, point, covector, r: float,
-                           s_end: float, tol: float = 1e-10,
-                           traj: ExtremalTrajectory | None = None
-                           ) -> list[CrossingReport]:
+                           s_end: float, tol: float = 1e-10) -> list[CrossingReport]:
     """Every conjugate time in (r, s_end) along the ray through ``covector``,
     with multiplicities, located as crossings of the Jacobi curve with the
     vertical space.
@@ -440,19 +435,9 @@ def count_conjugate_on_ray(struct: Structure, point, covector, r: float,
     covector = np.asarray(covector, dtype=float)
     if struct.hamiltonian_raw(point, covector) <= 1e-30:
         raise ZeroHamiltonianError("conjugate analysis requires H(lambda0) != 0")
-    if traj is None:
-        t_total = s_end * (1 + 1e-3) + 1e-3
-        traj = integrate_extremal(struct, point, covector, t_total, tol,
-                                  samples=_scan_grid(r, s_end))
-    curve = JacobiCurveSamples.sample(struct, traj, "jacobi", _scan_grid(r, s_end))
-    l0 = vertical_frame(struct.n)
-    reports = locate_crossings(curve, l0, r, s_end)
-    index = sum(rep.signature for rep in reports)
-    total = sum(rep.multiplicity for rep in reports)
-    if -index != total:
-        raise SubriemError(
-            f"Maslov count inconsistent: index {index}, total multiplicity {total}")
-    return reports
+    traj = integrate_extremal(struct, point, covector, s_end, tol,
+                              samples=_scan_grid(r, s_end))
+    return _scan_ray(struct, traj, r, s_end)
 
 
 @dataclass(frozen=True)
@@ -496,14 +481,12 @@ def continuity_check(struct: Structure, point, covector, delta_ray: float = 1e-2
     rays = covector[None, :] + dirs * radii[:, None]
 
     r, s = 1.0 - delta_ray, 1.0 + delta_ray
-    t_total = s * (1 + 1e-3) + 1e-3
-    grid = _scan_grid(r, s)
-    trajs = integrate_extremal_batch(struct, point, rays, t_total, tol, samples=grid)
+    trajs = integrate_extremal_batch(struct, point, rays, s, tol, samples=_scan_grid(r, s))
 
     totals = np.zeros(n_rays, dtype=int)
     indices = np.zeros(n_rays, dtype=int)
     for i, traj in enumerate(trajs):
-        reports = count_conjugate_on_ray(struct, point, rays[i], r, s, tol, traj=traj)
+        reports = _scan_ray(struct, traj, r, s)
         totals[i] = sum(rep.multiplicity for rep in reports)
         indices[i] = sum(rep.signature for rep in reports)
     return ContinuityReport(kernel_dim, rays, totals, indices)

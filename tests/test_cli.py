@@ -221,6 +221,18 @@ def test_vector_flags_accept_negative_values(capsys):
                          "--init-x", "-1,0,0", "--samples", "2")
     assert code == 0, err
     assert out.strip().split("\n")[1] == "0,0,1,0,-1,0,0"
+    # unambiguous abbreviations of a vector flag take a negative value too
+    code, out, err = run(capsys, "conjugate", "--cov", "-0.57,0.3,5", "--po", "-1,0,0")
+    assert code == 0, err
+    assert json.loads(out) == []
+    # ambiguous ones are left for argparse to reject: --init (--init-p, --init-x)
+    # and, under geodesic, --p (--point, --phi)
+    for argv in (["jacobi", "--covector", "1,0,2", "--init", "-1,0,0"],
+                 ["geodesic", "--covector", "1,0,2", "--p", "-1,0,0"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        assert "ambiguous option" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flag, value", [("--covector", "nan,0,1"),

@@ -145,6 +145,12 @@ def test_integrator_input_validation(heis):
         for samples in ([-0.3, 0.5], [0.5, 1.7]):
             with pytest.raises(ValueError, match="sample times"):
                 entry(heis, *args, 1.0, samples=samples)
+        for bad in (np.nan, np.inf):
+            for k in range(2):
+                data = [arg.copy() for arg in args]
+                data[k].flat[-1] = bad
+                with pytest.raises(ValueError, match="finite"):
+                    entry(heis, *data, 1.0)
     with pytest.raises(DimensionMismatchError):
         integrate_extremal(heis, np.zeros(2), np.ones(3), 1.0)
     with pytest.raises(DimensionMismatchError):

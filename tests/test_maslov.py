@@ -1,5 +1,5 @@
 import math
-from types import SimpleNamespace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,8 +13,10 @@ from subriem.maslov import (CrossingReport, JacobiCurveSamples, LagrangianFrame,
                             crossing_form, form_signature, horizontal_frame,
                             intersection_dim, jacobi_curve, locate_crossings,
                             maslov_index, vertical_frame)
+from subriem.structure import load_structure
 
 TWO_PI = 2 * math.pi
+ENGEL_FILE = Path(__file__).resolve().parents[1] / "bench" / "engel.json"
 
 
 def _curve_with_traj(struct, covector, r, s, kind="jacobi", extra=()):
@@ -104,8 +106,8 @@ def test_crossing_form_requires_intersection(eucl3):
 def test_crossing_form_at_zero_is_minus_twice_fiber_hamiltonian(heis, traj_2pi):
     curve = JacobiCurveSamples.sample(heis, traj_2pi, "jacobi", traj_2pi.ts)
     form = crossing_form(curve, 0.0, vertical_frame(3))
-    # H_pp at the origin is diag(1, 1, 0), so the form is -2 H_p = -diag(1, 1, 0)
-    assert np.allclose(form, -np.diag([1.0, 1.0, 0.0]), atol=1e-6)
+    # H_pp at the origin is diag(1, 1, 0), so the form is -H_pp = -diag(1, 1, 0)
+    assert np.allclose(form, -np.diag([1.0, 1.0, 0.0]), rtol=0, atol=1e-12)
 
 
 def test_jacobi_curve_crossing_form_negative(heis, traj_2pi):
@@ -115,25 +117,74 @@ def test_jacobi_curve_crossing_form_negative(heis, traj_2pi):
     assert form[0, 0] < -0.5
 
 
+def _stencil_velocity(curve, t_star, t_max):
+    """Reference frame derivative: a 5-point finite-difference stencil with
+    step 1e-4 * max(1, |t_star|), one-sided near the ends of [0, t_max]."""
+    h = 1e-4 * max(1.0, abs(t_star))
+    if t_star - 2 * h >= 0 and t_star + 2 * h <= t_max:
+        stencil = ((-2, 1 / 12), (-1, -2 / 3), (1, 2 / 3), (2, -1 / 12))
+    elif t_star + 4 * h <= t_max:
+        stencil = ((0, -25 / 12), (1, 4.0), (2, -3.0), (3, 4 / 3), (4, -1 / 4))
+    else:
+        stencil = ((0, 25 / 12), (-1, -4.0), (-2, 3.0), (-3, -4 / 3), (-4, 1 / 4))
+    return sum(wgt * curve.frame_at(t_star + off * h).matrix for off, wgt in stencil) / h
+
+
+@pytest.mark.parametrize("name", ["heisenberg", "engel"])
+def test_velocity_matches_finite_difference_stencil(heis, name):
+    if name == "heisenberg":
+        struct, cov = heis, np.array([0.7, -0.4, 13.0])
+    else:
+        struct = load_structure(str(ENGEL_FILE))
+        cov = np.array([2.041, -2.556, 1.254, -47.53])
+    traj = integrate_extremal(struct, np.zeros(struct.n), cov, 1.0, 1e-12, samples=41)
+    r, s = 0.2, 0.9
+    for kind in ("jacobi", "l"):
+        curve = JacobiCurveSamples.sample(struct, traj, kind, traj.ts)
+        for crv, t_max, times in ((curve, 1.0, (0.0, 0.35, 0.6125, 0.83, 1.0)),
+                                  (curve.reversed_over(r, s), r + s, (0.35, 0.6125, 0.83))):
+            for t_star in times:
+                exact = crv.velocity_at(t_star)
+                approx = _stencil_velocity(crv, t_star, t_max)
+                scale = np.max(np.abs(exact))
+                assert np.max(np.abs(exact - approx)) <= 1e-8 * scale, (kind, t_star)
+
+
+def test_crossing_forms_match_stencil_forms(heis):
+    # the exact form against the form built on the stencil derivative, at the
+    # three crossings of (0.7, -0.4, 13) on the Jacobi and the forward curve
+    reports = count_conjugate_on_ray(heis, np.zeros(3), np.array([0.7, -0.4, 13.0]),
+                                     0.05, 1.0)
+    traj = integrate_extremal(heis, np.zeros(3), np.array([0.7, -0.4, 13.0]), 1.0,
+                              1e-10, samples=_scan_grid(0.05, 1.0))
+    l0 = vertical_frame(3)
+    om = np.block([[np.zeros((3, 3)), np.eye(3)], [-np.eye(3), np.zeros((3, 3))]])
+    assert len(reports) == 3
+    for kind in ("jacobi", "l"):
+        curve = JacobiCurveSamples.sample(heis, traj, kind, traj.ts)
+        for rep in reports:
+            form = crossing_form(curve, rep.t, l0, multiplicity=1)
+            f_star = curve.frame_at(rep.t).matrix
+            _, _, vt = np.linalg.svd(l0.matrix.T @ om @ f_star)
+            c = vt[-1:].T
+            ref = c.T @ f_star.T @ om @ _stencil_velocity(curve, rep.t, 1.0) @ c
+            assert abs(form[0, 0] - ref[0, 0]) <= 1e-9 * abs(ref[0, 0]), (kind, rep.t)
+
+
 def test_curve_derivative_rank_equals_horizontal_rank(heis, traj_2pi):
-    # derivative form of the Jacobi curve has rank = rank H_p = 2
+    # the derivative form of the Jacobi curve is -H_pp(lambda(t)), of rank
+    # rank H_pp = 2
     curve = JacobiCurveSamples.sample(heis, traj_2pi, "jacobi", traj_2pi.ts)
+    om = np.block([[np.zeros((3, 3)), np.eye(3)], [-np.eye(3), np.zeros((3, 3))]])
     for t_star in (0.0, 0.4, 0.9):
         f_star = curve.frame_at(t_star).matrix
-        h = 1e-4
-        weights = ((-2, 1 / 12), (-1, -2 / 3), (1, 2 / 3), (2, -1 / 12))
-        if t_star == 0.0:
-            weights = ((0, -25 / 12), (1, 4.0), (2, -3.0), (3, 4 / 3), (4, -1 / 4))
-        f_dot = np.zeros_like(f_star)
-        for off, wgt in weights:
-            f_dot += wgt * curve.frame_at(t_star + off * h).matrix
-        f_dot /= h
-        om = np.block([[np.zeros((3, 3)), np.eye(3)], [-np.eye(3), np.zeros((3, 3))]])
-        deriv_form = f_star.T @ om @ f_dot
-        deriv_form = 0.5 * (deriv_form + deriv_form.T)
+        deriv_form = f_star.T @ om @ curve.velocity_at(t_star)
+        state = traj_2pi.state_at(t_star)
+        assert np.allclose(deriv_form, -heis.hessian_blocks(state[:3], state[3:])[2],
+                           rtol=0, atol=1e-10)
         svals = np.linalg.svd(deriv_form, compute_uv=False)
         assert svals[1] / svals[0] > 1e-3
-        assert svals[2] / svals[0] < 1e-7
+        assert svals[2] / svals[0] < 1e-10
 
 
 def test_form_signature_rejects_degenerate():
@@ -195,18 +246,18 @@ class _SyntheticCurve:
     """Rotating pair of lines R_theta + R_{-theta}: multiplicity-2 touch of the
     vertical at theta = 0 with a signature-zero nondegenerate crossing form."""
 
-    def __init__(self):
-        self.traj = SimpleNamespace(t_final=2.0)
+    def frames_at(self, ts):
+        th = np.asarray(ts) - 0.5
+        c, s, z = np.cos(th), np.sin(th), np.zeros_like(th)
+        return np.stack([np.stack([c, z, s, z], -1), np.stack([z, c, z, -s], -1)], -1)
 
     def frame_at(self, t):
+        return LagrangianFrame(self.frames_at([t])[0])
+
+    def velocity_at(self, t):
         th = t - 0.5
-        mat = np.array([
-            [math.cos(th), 0.0],
-            [0.0, math.cos(th)],
-            [math.sin(th), 0.0],
-            [0.0, -math.sin(th)],
-        ])
-        return LagrangianFrame(mat)
+        return np.array([[-math.sin(th), 0.0], [0.0, -math.sin(th)],
+                         [math.cos(th), 0.0], [0.0, -math.cos(th)]])
 
 
 def test_even_multiplicity_touch_detected_by_sweep():
@@ -220,8 +271,8 @@ def test_even_multiplicity_touch_detected_by_sweep():
 
 
 class _FrozenCurve:
-    def __init__(self):
-        self.traj = SimpleNamespace(t_final=2.0)
+    def frames_at(self, ts):
+        return np.broadcast_to(vertical_frame(2).matrix, (len(ts), 4, 2))
 
     def frame_at(self, t):
         return vertical_frame(2)
