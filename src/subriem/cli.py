@@ -195,8 +195,8 @@ def _cmd_geodesic(args) -> int:
     struct = _resolve_structure(args)
     tol = _check_tol(args.tol)
     point, covector = _point_covector(args, struct.n)
-    if args.t_max <= 0:
-        raise ConfigError("--t-max must be positive")
+    if not 0 < args.t_max < np.inf:
+        raise ConfigError("--t-max must be positive and finite")
     n = struct.n
     header = (["t"] + [f"q{i+1}" for i in range(n)]
               + [f"p{i+1}" for i in range(n)] + ["H"])
@@ -243,8 +243,9 @@ def _cmd_jacobi(args) -> int:
 
 def _conjugate_reports(struct, point, covector, t_min, t_max, tol):
     """Conjugate times in (t_min, t_max), shared by ``conjugate`` and ``maslov``."""
-    if not 0 <= t_min < t_max:
-        raise ConfigError("need 0 <= --t-min < --t-max")
+    if not 0 < t_min < t_max < np.inf:
+        raise ConfigError("need finite 0 < --t-min < --t-max (t = 0 is always a "
+                          "crossing: the Jacobi curve starts on the vertical)")
     try:
         return mas.count_conjugate_on_ray(struct, point, covector, t_min, t_max, tol)
     except ZeroHamiltonianError:

@@ -246,8 +246,8 @@ def _integrate(struct: Structure, points: np.ndarray, covectors: np.ndarray,
                samples: int | Sequence[float] | None) -> list[ExtremalTrajectory]:
     """Shared core of the entry points: validates the span, tolerance and
     sample grid, then integrates the (B, n) initial data as one batch."""
-    if t_final <= 0:
-        raise ValueError("t_final must be positive")
+    if not 0 < t_final < math.inf:
+        raise ValueError("t_final must be positive and finite")
     if tol <= 0:
         raise ValueError("tol must be positive")
     if not (np.all(np.isfinite(points)) and np.all(np.isfinite(covectors))):

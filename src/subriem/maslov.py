@@ -13,13 +13,15 @@ Two curves of Lagrangian subspaces are attached to an extremal, both framed in
 
 Crossings against a reference Lagrangian L0 are located through the n x n
 pairing ``G(t) = L0^T Omega F(t)``: its kernel is the intersection.  The scan
-is one stacked pass (the grid's frames checked together, one SVD and one det
-call over all G).  Sign changes of det G bracket odd-multiplicity crossings;
-a singular-value sweep at fixed resolution catches even-multiplicity touches.
-An indicator that vanishes along a whole sub-interval signals an abnormal
-segment and aborts (the counting theory assumes ideal structures).  Crossing
-forms ``omega(F c, F' c)`` are exact: F' comes from ``Phi' = S Phi`` with the
-Hamiltonian Hessian, so on the Jacobi curve the form is ``-c^T H_pp c``.
+is one stacked pass over one uniform grid (one SVD and one det call over all
+G).  Sign changes of det G bracket odd-multiplicity crossings; minima of the
+smallest singular value sigma(t) catch even-multiplicity touches.  Crossing
+forms ``omega(F c, F' c)`` are exact (F' from ``Phi' = S Phi`` with the
+Hamiltonian Hessian; on the Jacobi curve the form is ``-c^T H_pp c``), so
+crossings are regular and sigma has a simple zero with the exact slope
+``u^T G'(t) v``: Newton on sigma refines every crossing.  An indicator that
+vanishes along a whole sub-interval signals an abnormal segment and aborts
+(the counting theory assumes ideal structures).
 """
 
 from __future__ import annotations
@@ -39,10 +41,12 @@ from .flow import (ExtremalTrajectory, d_exp, integrate_extremal,
 from .linalg import RANK_REL_TOL, block_swap, null_space, numerical_rank, omega_px
 from .structure import Structure
 
-#: grid step of the secondary singular-value sweep
+#: step of the scan grid (until a window reaches SWEEP_CAP points)
 SWEEP_STEP = 1e-3
-#: maximum number of sweep points per scan window
+#: maximum number of scan-grid points per window
 SWEEP_CAP = 4000
+#: bound on the Newton iterations that refine one crossing
+NEWTON_STEPS = 50
 #: two crossings closer than this are reported as an unresolved cluster
 CLUSTER_TOL = 1e-8
 
@@ -134,7 +138,8 @@ class JacobiCurveSamples:
     ``kind`` records the orientation: "jacobi" for the backward-transported
     curve in the fixed tangent space at the initial covector, "l" for the
     forward curve along the extremal.  Frames are read off the trajectory's
-    fundamental matrices on demand.
+    fundamental matrices on demand.  ``ts`` is kept for callers; the crossing
+    scan does not read it (it scans its own grid of the window).
     """
 
     traj: ExtremalTrajectory
@@ -158,17 +163,19 @@ class JacobiCurveSamples:
         _check_lagrangian(frames)
         return frames
 
-    def velocity_at(self, t: float) -> np.ndarray:
-        """Exact frame derivative F'(t) from Phi' = S Phi, S = J Hess H(lambda(t))
-        (here in (p, x) order): the Jacobi curve moves as -Phi^{-1} S [I; 0],
-        the forward curve as S Phi [I; 0]."""
+    def jet_at(self, t: float) -> tuple[np.ndarray, np.ndarray]:
+        """Frame F(t) and its exact derivative F'(t), from one trajectory
+        lookup: Phi' = S Phi with S = J Hess H(lambda(t)) (here in (p, x)
+        order), so the Jacobi curve moves as -Phi^{-1} S [I; 0] and the
+        forward curve as S Phi [I; 0]."""
         state, phi = self.traj.at(t)
         n = self.traj.n
         hqq, hqp, hpp = self.traj.structure.hessian_blocks(state[:n], state[n:])
         s_px = np.block([[-hqp, -hqq], [hpp, hqp.T]])
+        frame = _curve_frames(self.kind, phi)
         if self.kind == "jacobi":
-            return -_sympl_inverse(block_swap(phi)) @ s_px[:, :n]
-        return s_px @ _curve_frames("l", phi)
+            return frame, -_sympl_inverse(block_swap(phi)) @ s_px[:, :n]
+        return frame, s_px @ frame
 
     def reversed_over(self, r: float, s: float) -> "_ReversedCurve":
         """The time-reversed curve tau -> frame(r + s - tau) on the same window."""
@@ -180,18 +187,12 @@ class _ReversedCurve:
     base: JacobiCurveSamples
     total: float
 
-    def frame_at(self, t: float) -> LagrangianFrame:
-        return self.base.frame_at(self.total - t)
-
     def frames_at(self, ts: np.ndarray) -> np.ndarray:
         return self.base.frames_at(self.total - np.asarray(ts))
 
-    def velocity_at(self, t: float) -> np.ndarray:
-        return -self.base.velocity_at(self.total - t)
-
-
-def _pairing_matrix(l0: LagrangianFrame, frame: LagrangianFrame) -> np.ndarray:
-    return l0.matrix.T @ omega_px(l0.n) @ frame.matrix
+    def jet_at(self, t: float) -> tuple[np.ndarray, np.ndarray]:
+        frame, velocity = self.base.jet_at(self.total - t)
+        return frame, -velocity
 
 
 def crossing_form(curve, t_star: float, l0: LagrangianFrame,
@@ -203,8 +204,8 @@ def crossing_form(curve, t_star: float, l0: LagrangianFrame,
     does), passing it as ``multiplicity`` selects that many smallest singular
     directions instead of re-running the rank decision.
     """
-    f_star = curve.frame_at(t_star)
-    g_mat = _pairing_matrix(l0, f_star)
+    f_star, velocity = curve.jet_at(t_star)
+    g_mat = l0.matrix.T @ omega_px(l0.n) @ f_star
     if multiplicity is None:
         coeffs = null_space(g_mat)
     else:
@@ -212,7 +213,7 @@ def crossing_form(curve, t_star: float, l0: LagrangianFrame,
         coeffs = vt[l0.n - multiplicity:].T.copy()
     if coeffs.shape[1] == 0:
         raise ValueError(f"curve does not meet the reference Lagrangian at t = {t_star}")
-    form = coeffs.T @ (f_star.matrix.T @ omega_px(l0.n) @ curve.velocity_at(t_star)) @ coeffs
+    form = coeffs.T @ (f_star.T @ omega_px(l0.n) @ velocity) @ coeffs
     return 0.5 * (form + form.T)
 
 
@@ -231,7 +232,8 @@ def form_signature(form: np.ndarray, rel_tol: float = 1e-6) -> int:
 @dataclass(frozen=True)
 class CrossingReport:
     """One detected crossing: time, multiplicity, crossing-form signature and
-    the bracketing interval that localized it."""
+    the bracket that localized it: the scan-grid cell of a sign change of
+    det G, or the grid window around a near-zero run or a minimum of sigma."""
 
     t: float
     multiplicity: int
@@ -251,67 +253,58 @@ class CrossingReport:
 
 
 def _scan_grid(r: float, s: float) -> np.ndarray:
-    base = np.linspace(r, s, 257)
-    n_sweep = min(int(math.ceil((s - r) / SWEEP_STEP)), SWEEP_CAP)
-    sweep = np.linspace(r, s, max(n_sweep, 2))
-    return np.unique(np.concatenate([base, sweep]))
+    """Uniform grid of [r, s] with steps of about SWEEP_STEP, at most
+    SWEEP_CAP and at least 257 points."""
+    if not (math.isfinite(r) and math.isfinite(s) and r < s):
+        raise ValueError("need finite r < s")
+    return np.linspace(r, s, max(min(math.ceil((s - r) / SWEEP_STEP), SWEEP_CAP), 257))
 
 
-def _indicator(curve, l0: LagrangianFrame, t: float) -> tuple[float, float]:
-    """(det, sigma_min) of the pairing matrix at t."""
-    g_mat = _pairing_matrix(l0, curve.frame_at(t))
-    det = float(np.linalg.det(g_mat))
-    svals = np.linalg.svd(g_mat, compute_uv=False)
-    return det, float(svals[-1])
-
-
-def _refine_sign_change(curve, l0, lo, hi, det_lo) -> tuple[float, float, float]:
-    """Bisect a sign change of det G to relative width 1e-10."""
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= 1e-10 * max(1.0, abs(mid)):
-            return mid, lo, hi
-        det_mid, _ = _indicator(curve, l0, mid)
-        if det_mid == 0.0:
-            return mid, lo, hi
-        if (det_lo < 0) != (det_mid < 0):
-            hi = mid
+def _refine(curve, l0: LagrangianFrame, lo: float, hi: float, t: float,
+            det_lo: float | None = None) -> float | None:
+    """Zero of sigma(t), the smallest singular value of G(t) = L0^T Omega F(t),
+    by Newton from the grid point t of [lo, hi] with the exact slope
+    u^T G'(t) v (u, v the singular vectors of sigma).  With ``det_lo`` (det G
+    changes sign on [lo, hi]) each iterate shrinks the det bracket, and a step
+    that leaves it or fails to halve is replaced by bisection.  In a touch
+    window a step that leaves [lo, hi] means sigma has a minimum but no zero
+    (None); one that fails to halve means Newton stalled (a near miss, or a
+    zero resolved to rounding) and the multiplicity test decides.
+    """
+    pair = l0.matrix.T @ omega_px(l0.n)
+    last = math.inf
+    for _ in range(NEWTON_STEPS):
+        frame, velocity = curve.jet_at(t)
+        g_mat = pair @ frame
+        u, svals, vt = np.linalg.svd(g_mat)
+        slope = u[:, -1] @ pair @ velocity @ vt[-1]
+        step = svals[-1] / slope if slope else math.inf
+        tiny = 4 * np.finfo(float).eps * max(1.0, abs(t))
+        if abs(step) <= tiny:
+            return t
+        if det_lo is None:
+            if not lo <= t - step <= hi:
+                return None
+            if abs(step) > 0.5 * last:
+                return t
         else:
-            lo, det_lo = mid, det_mid
-    return 0.5 * (lo + hi), lo, hi
-
-
-def _refine_touch(curve, l0, lo, hi) -> tuple[float, float]:
-    """Golden-section minimization of sigma_min(G) on [lo, hi]."""
-    invphi = (math.sqrt(5) - 1) / 2
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc = _indicator(curve, l0, c)[1]
-    fd = _indicator(curve, l0, d)[1]
-    for _ in range(80):
-        if b - a <= 1e-11 * max(1.0, abs(a)):
-            break
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = _indicator(curve, l0, c)[1]
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = _indicator(curve, l0, d)[1]
-    t_min = c if fc < fd else d
-    return t_min, min(fc, fd)
+            lo, hi = (t, hi) if (np.linalg.det(g_mat) < 0) == (det_lo < 0) else (lo, t)
+            if hi - lo <= tiny:
+                return 0.5 * (lo + hi)
+            if not (lo < t - step < hi and abs(step) <= 0.5 * last):
+                step = t - 0.5 * (lo + hi)
+        last = abs(step)
+        t -= step
+    raise UnresolvedCrossingError(
+        f"Newton refinement on [{lo}, {hi}] did not settle in {NEWTON_STEPS} steps")
 
 
 def _multiplicity(curve, l0, t_star: float, scale: float) -> int:
     """Kernel dimension of the pairing at a refined crossing time, measured
     against the scan-wide scale of the pairing matrices."""
-    g_mat = _pairing_matrix(l0, curve.frame_at(t_star))
+    g_mat = l0.matrix.T @ omega_px(l0.n) @ curve.frames_at([t_star])[0]
     svals = np.linalg.svd(g_mat, compute_uv=False)
     small = svals < RANK_REL_TOL * scale
-    if not np.any(small):
-        small = svals < 1e-6 * scale  # refinement landed next to the root
     if np.any(small) and np.any(~small):
         gap = svals[~small].min() / max(svals[small].max(), 1e-300)
         if gap < 1e3:
@@ -327,8 +320,6 @@ def locate_crossings(curve, l0: LagrangianFrame, r: float, s: float) -> list[Cro
     crossing and :class:`NonIdealStructureError` when the indicator vanishes
     identically on a sub-interval (abnormal segment).
     """
-    if not s > r:
-        raise ValueError("need r < s")
     grid = _scan_grid(r, s)
     g_mats = (l0.matrix.T @ omega_px(l0.n)) @ curve.frames_at(grid)
     svals = np.linalg.svd(g_mats, compute_uv=False)
@@ -348,27 +339,24 @@ def locate_crossings(curve, l0: LagrangianFrame, r: float, s: float) -> list[Cro
         if near_zero[idx]:
             raise CrossingEndpointError(f"{label} endpoint t = {grid[idx]} is a crossing")
 
-    crossings: list[tuple[float, float, float]] = []
+    # candidates (lo, hi, start, flip) as grid indices: the window [lo, hi],
+    # the grid point Newton starts from, and whether det G changes sign
+    candidates: list[tuple[int, int, int, bool]] = []
     consumed = np.zeros(len(grid) - 1, dtype=bool)   # cell i is [grid[i], grid[i + 1]]
 
-    # grid points sitting (numerically) on a crossing: refine each run of
-    # adjacent near-zero samples by minimizing sigma_min over its neighborhood
+    # grid points sitting (numerically) on a crossing: each run of adjacent
+    # near-zero samples, with one neighbor on either side
     edges = np.diff(near_zero.astype(np.int8))
     for i, j in zip(np.flatnonzero(edges == 1) + 1, np.flatnonzero(edges == -1)):
-        lo, hi = grid[i - 1], grid[j + 1]
-        if negative[i - 1] != negative[j + 1]:
-            t_star, lo2, hi2 = _refine_sign_change(curve, l0, lo, hi, dets[i - 1])
-            crossings.append((t_star, lo2, hi2))
-        else:
-            t_star, _ = _refine_touch(curve, l0, lo, hi)
-            crossings.append((t_star, lo, hi))
+        start = i + int(np.argmin(ratios[i:j + 1]))
+        candidates.append((i - 1, j + 1, start, negative[i - 1] != negative[j + 1]))
         consumed[i - 1:j + 1] = True
 
     # odd-multiplicity crossings: sign changes of det G
     flips = (negative[:-1] != negative[1:]) & ~near_zero[:-1] & ~near_zero[1:] & ~consumed
     for i in np.flatnonzero(flips):
         consumed[i] = True
-        crossings.append(_refine_sign_change(curve, l0, grid[i], grid[i + 1], dets[i]))
+        candidates.append((i, i + 1, i + int(ratios[i + 1] < ratios[i]), True))
 
     # even-multiplicity touches: local minima of sigma_min without a sign change
     inner = ratios[1:-1]
@@ -377,10 +365,15 @@ def locate_crossings(curve, l0: LagrangianFrame, r: float, s: float) -> list[Cro
     for i in np.flatnonzero(minima) + 1:
         if consumed[i - 1] or consumed[i]:
             continue
-        t_star, sigma_min = _refine_touch(curve, l0, grid[i - 1], grid[i + 1])
-        if sigma_min / scale < 10 * RANK_REL_TOL:
-            consumed[i - 1:i + 1] = True
-            crossings.append((t_star, grid[i - 1], grid[i + 1]))
+        consumed[i - 1:i + 1] = True
+        candidates.append((i - 1, i + 1, i, False))
+
+    crossings: list[tuple[float, float, float]] = []
+    for lo, hi, start, flip in candidates:
+        t_star = _refine(curve, l0, grid[lo], grid[hi], grid[start],
+                         dets[lo] if flip else None)
+        if t_star is not None:
+            crossings.append((t_star, grid[lo], grid[hi]))
 
     crossings.sort(key=lambda c: c[0])
     for (t1, _, _), (t2, _, _) in zip(crossings, crossings[1:]):

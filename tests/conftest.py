@@ -48,3 +48,30 @@ def traj_2pi(heis):
 def traj_astar(heis):
     """Extremal through the fold conjugate covector (1, 0, alpha*)."""
     return _reference_trajectory(heis, ALPHA_STAR)
+
+
+class ReparametrizedCurve:
+    """The curve tau -> F(phi(tau)) on [r, s], where phi(tau) = r + (s - r) u (1 + u) / 2
+    with u = (tau - r) / (s - r) is a monotone map of [r, s] onto itself, so a
+    scan of this curve reads F at the nonuniform times phi(grid)."""
+
+    def __init__(self, curve, r, s):
+        self.curve, self.r, self.s = curve, r, s
+
+    @staticmethod
+    def phi(ts, r, s):
+        u = (np.asarray(ts, dtype=float) - r) / (s - r)
+        return r + (s - r) * u * (1 + u) / 2
+
+    def frames_at(self, ts):
+        return self.curve.frames_at(self.phi(ts, self.r, self.s))
+
+    def jet_at(self, tau):
+        frame, velocity = self.curve.jet_at(float(self.phi(tau, self.r, self.s)))
+        return frame, (0.5 + (tau - self.r) / (self.s - self.r)) * velocity
+
+
+@pytest.fixture(scope="session")
+def reparametrized():
+    """The ``ReparametrizedCurve`` class (tests build one per window)."""
+    return ReparametrizedCurve

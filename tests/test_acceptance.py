@@ -176,7 +176,7 @@ def test_criterion_7_noninjectivity():
 
 
 @criterion(8)
-def test_criterion_8_maslov_property_battery():
+def test_criterion_8_maslov_property_battery(reparametrized):
     struct = make_structure("heisenberg")
     rng = np.random.default_rng(1008)
     l0 = vertical_frame(3)
@@ -197,8 +197,8 @@ def test_criterion_8_maslov_property_battery():
         for lo, hi in ((r, mid), (mid, s)):
             grid = np.union1d(grid, _scan_grid(lo, hi))
         grid = np.union1d(grid, (r + s) - grid)
-        t_total = float(grid[-1]) * (1 + 1e-3) + 1e-3
-        traj = integrate_extremal(struct, np.zeros(3), cov, t_total, 1e-10,
+        grid = np.union1d(grid, reparametrized.phi(_scan_grid(r, s), r, s))
+        traj = integrate_extremal(struct, np.zeros(3), cov, float(grid[-1]), 1e-10,
                                   samples=grid)
         curve = JacobiCurveSamples.sample(struct, traj, "jacobi", grid)
         try:
@@ -207,14 +207,18 @@ def test_criterion_8_maslov_property_battery():
             left = maslov_index(curve, l0, r, mid)
             right = maslov_index(curve, l0, mid, s)
             reversed_index = maslov_index(curve.reversed_over(r, s), l0, r, s)
-            skew = JacobiCurveSamples.sample(
-                struct, traj, "jacobi", r + (s - r) * np.linspace(0, 1, 157) ** 2)
-            resampled = maslov_index(skew, l0, r, s)
+            skew = locate_crossings(reparametrized(curve, r, s), l0, r, s)
         except CrossingEndpointError:
             continue  # endpoint or mid landed on a crossing; draw again
         assert left + right == index, "concatenation additivity failed"
         assert reversed_index == -index, "reversal antisymmetry failed"
-        assert resampled == index, "reparametrization invariance failed"
+        assert sum(rep.signature for rep in skew) == index, \
+            "reparametrization invariance failed"
+        assert ([rep.multiplicity for rep in skew]
+                == [rep.multiplicity for rep in whole]), "reparametrized multiplicities differ"
+        skew_times = reparametrized.phi([rep.t for rep in skew], r, s)
+        assert np.allclose(skew_times, [rep.t for rep in whole], rtol=0, atol=1e-10), \
+            "reparametrized crossing times differ"
         if not whole:
             assert index == 0
         crossings_seen += len(whole)

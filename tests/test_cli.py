@@ -243,3 +243,24 @@ def test_non_finite_vector_is_config_error(capsys, flag, value):
     code, _, err = run(capsys, *argv)
     assert code == 1
     assert "non-finite" in err
+
+
+@pytest.mark.parametrize("cmd", ["conjugate", "maslov"])
+@pytest.mark.parametrize("t_min, t_max", [("0", "1"), ("-0.1", "1"), ("0.1", "inf"),
+                                          ("nan", "1"), ("0.1", "nan"), ("0.5", "0.2")])
+def test_conjugate_window_bounds_are_config_errors(capsys, cmd, t_min, t_max):
+    # J(0) = Ver, so t = 0 is always a crossing: a window must start after it
+    code, out, err = run(capsys, cmd, "--covector", "1,0,7", "--t-min", t_min,
+                         "--t-max", t_max)
+    assert code == 1
+    assert out == ""
+    assert "0 < --t-min < --t-max" in err
+
+
+@pytest.mark.parametrize("cmd", ["geodesic", "jacobi"])
+@pytest.mark.parametrize("t_max", ["nan", "inf", "0"])
+def test_non_finite_span_is_config_error(capsys, cmd, t_max):
+    code, out, err = run(capsys, cmd, "--covector", "1,0,7", "--t-max", t_max)
+    assert code == 1
+    assert out == ""
+    assert "positive" in err

@@ -136,8 +136,9 @@ def test_integrator_input_validation(heis):
     single = [np.zeros(3), np.ones(3)]
     batch = [np.zeros(3), np.ones((2, 3))]
     for entry, args in ((integrate_extremal, single), (integrate_extremal_batch, batch)):
-        with pytest.raises(ValueError):
-            entry(heis, *args, -1.0)
+        for t_final in (-1.0, 0.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="t_final"):
+                entry(heis, *args, t_final)
         with pytest.raises(ValueError):
             entry(heis, *args, 1.0, tol=-1e-9)
         with pytest.raises(ValueError):

@@ -6,7 +6,7 @@ import pytest
 
 from subriem.errors import (CrossingEndpointError, DegenerateCrossingError,
                             NonIdealStructureError, ZeroHamiltonianError)
-from subriem.flow import integrate_extremal
+from subriem.flow import ExtremalTrajectory, integrate_extremal
 from subriem.heisenberg import ALPHA_STAR
 from subriem.maslov import (CrossingReport, JacobiCurveSamples, LagrangianFrame,
                             _scan_grid, continuity_check, count_conjugate_on_ray,
@@ -19,16 +19,24 @@ TWO_PI = 2 * math.pi
 ENGEL_FILE = Path(__file__).resolve().parents[1] / "bench" / "engel.json"
 
 
-def _curve_with_traj(struct, covector, r, s, kind="jacobi", extra=()):
+def _curve_with_traj(struct, covector, r, s, kind="jacobi", extra=(), landings=()):
     """Trajectory whose stored grid covers every scan the test will run."""
-    grid = _scan_grid(r, s)
+    grid = np.union1d(_scan_grid(r, s), landings)
     for lo, hi in extra:
         grid = np.union1d(grid, _scan_grid(lo, hi))
         grid = np.union1d(grid, (r + s) - _scan_grid(lo, hi))  # reversed lookups
-    t_total = float(grid[-1]) * (1 + 1e-3) + 1e-3
     traj = integrate_extremal(struct, np.zeros(3), np.asarray(covector, float),
-                              t_total, 1e-10, samples=grid)
+                              float(grid[-1]), 1e-10, samples=grid)
     return JacobiCurveSamples.sample(struct, traj, kind, grid)
+
+
+def _assert_brackets(reports, r, s):
+    """Each bracket is a cell or a window of the scan grid around its crossing."""
+    grid = _scan_grid(r, s)
+    for rep in reports:
+        lo, hi = rep.bracket
+        assert lo in grid and hi in grid, rep
+        assert lo < rep.t < hi, rep
 
 
 # ---------------------------------------------------------------------------
@@ -81,6 +89,7 @@ def test_l_curve_crossings_match_jacobi_curve(heis):
     assert len(rep_j) == len(rep_l) == 1
     assert rep_j[0].t == pytest.approx(1.0, abs=1e-9)
     assert rep_l[0].t == pytest.approx(1.0, abs=1e-9)
+    _assert_brackets(rep_j + rep_l, 0.5, 1.15)
     assert rep_j[0].multiplicity == rep_l[0].multiplicity == 1
     # forward transport flips the crossing-form sign relative to the Jacobi curve
     assert rep_j[0].signature == -1
@@ -122,12 +131,13 @@ def _stencil_velocity(curve, t_star, t_max):
     step 1e-4 * max(1, |t_star|), one-sided near the ends of [0, t_max]."""
     h = 1e-4 * max(1.0, abs(t_star))
     if t_star - 2 * h >= 0 and t_star + 2 * h <= t_max:
-        stencil = ((-2, 1 / 12), (-1, -2 / 3), (1, 2 / 3), (2, -1 / 12))
+        offsets, weights = (-2, -1, 1, 2), (1 / 12, -2 / 3, 2 / 3, -1 / 12)
     elif t_star + 4 * h <= t_max:
-        stencil = ((0, -25 / 12), (1, 4.0), (2, -3.0), (3, 4 / 3), (4, -1 / 4))
+        offsets, weights = (0, 1, 2, 3, 4), (-25 / 12, 4.0, -3.0, 4 / 3, -1 / 4)
     else:
-        stencil = ((0, 25 / 12), (-1, -4.0), (-2, 3.0), (-3, -4 / 3), (-4, 1 / 4))
-    return sum(wgt * curve.frame_at(t_star + off * h).matrix for off, wgt in stencil) / h
+        offsets, weights = (0, -1, -2, -3, -4), (25 / 12, -4.0, 3.0, -4 / 3, 1 / 4)
+    frames = curve.frames_at(t_star + h * np.array(offsets))
+    return np.tensordot(weights, frames, axes=1) / h
 
 
 @pytest.mark.parametrize("name", ["heisenberg", "engel"])
@@ -144,7 +154,8 @@ def test_velocity_matches_finite_difference_stencil(heis, name):
         for crv, t_max, times in ((curve, 1.0, (0.0, 0.35, 0.6125, 0.83, 1.0)),
                                   (curve.reversed_over(r, s), r + s, (0.35, 0.6125, 0.83))):
             for t_star in times:
-                exact = crv.velocity_at(t_star)
+                frame, exact = crv.jet_at(t_star)
+                assert np.array_equal(frame, crv.frames_at([t_star])[0])
                 approx = _stencil_velocity(crv, t_star, t_max)
                 scale = np.max(np.abs(exact))
                 assert np.max(np.abs(exact - approx)) <= 1e-8 * scale, (kind, t_star)
@@ -164,7 +175,7 @@ def test_crossing_forms_match_stencil_forms(heis):
         curve = JacobiCurveSamples.sample(heis, traj, kind, traj.ts)
         for rep in reports:
             form = crossing_form(curve, rep.t, l0, multiplicity=1)
-            f_star = curve.frame_at(rep.t).matrix
+            f_star = curve.frames_at([rep.t])[0]
             _, _, vt = np.linalg.svd(l0.matrix.T @ om @ f_star)
             c = vt[-1:].T
             ref = c.T @ f_star.T @ om @ _stencil_velocity(curve, rep.t, 1.0) @ c
@@ -177,8 +188,8 @@ def test_curve_derivative_rank_equals_horizontal_rank(heis, traj_2pi):
     curve = JacobiCurveSamples.sample(heis, traj_2pi, "jacobi", traj_2pi.ts)
     om = np.block([[np.zeros((3, 3)), np.eye(3)], [-np.eye(3), np.zeros((3, 3))]])
     for t_star in (0.0, 0.4, 0.9):
-        f_star = curve.frame_at(t_star).matrix
-        deriv_form = f_star.T @ om @ curve.velocity_at(t_star)
+        f_star, velocity = curve.jet_at(t_star)
+        deriv_form = f_star.T @ om @ velocity
         state = traj_2pi.state_at(t_star)
         assert np.allclose(deriv_form, -heis.hessian_blocks(state[:3], state[3:])[2],
                            rtol=0, atol=1e-10)
@@ -202,8 +213,9 @@ def test_maslov_index_single_crossing(heis):
     l0 = vertical_frame(3)
     reports = locate_crossings(curve, l0, 0.1, 1.0)
     assert len(reports) == 1
-    assert reports[0].t == pytest.approx(TWO_PI / 7, abs=1e-8)
+    assert reports[0].t == pytest.approx(TWO_PI / 7, abs=1e-12)
     assert reports[0].multiplicity == 1
+    _assert_brackets(reports, 0.1, 1.0)
     assert maslov_index(curve, l0, 0.1, 1.0) == -1
 
 
@@ -214,16 +226,22 @@ def test_maslov_index_zero_without_crossings(heis, eucl3):
     assert maslov_index(curve_e, vertical_frame(3), 0.1, 1.0) == 0
 
 
-def test_maslov_concatenation_and_reparametrization(heis):
+def test_maslov_concatenation_and_reparametrization(heis, reparametrized):
     r, s, mid = 0.1, 1.0, 0.5
-    curve = _curve_with_traj(heis, [1.0, 0.0, 7.0], r, s, extra=((r, mid), (mid, s)))
+    curve = _curve_with_traj(heis, [1.0, 0.0, 13.0], r, s, extra=((r, mid), (mid, s)),
+                             landings=reparametrized.phi(_scan_grid(r, s), r, s))
     l0 = vertical_frame(3)
-    whole = maslov_index(curve, l0, r, s)
-    assert whole == maslov_index(curve, l0, r, mid) + maslov_index(curve, l0, mid, s)
-    # nonuniform monotone resampling leaves the index unchanged
-    skew = JacobiCurveSamples.sample(
-        heis, curve.traj, "jacobi", r + (s - r) * np.linspace(0, 1, 173) ** 2)
-    assert maslov_index(skew, l0, r, s) == whole
+    whole = locate_crossings(curve, l0, r, s)
+    index = sum(rep.signature for rep in whole)
+    assert len(whole) == 3 and index == -3
+    assert index == maslov_index(curve, l0, r, mid) + maslov_index(curve, l0, mid, s)
+    # a monotone reparametrization of [r, s] scans F at other times and
+    # refines along another parameter, yet finds the same crossings
+    skew = locate_crossings(reparametrized(curve, r, s), l0, r, s)
+    assert [rep.multiplicity for rep in skew] == [rep.multiplicity for rep in whole]
+    assert sum(rep.signature for rep in skew) == index
+    times = reparametrized.phi(np.array([rep.t for rep in skew]), r, s)
+    assert np.allclose(times, [rep.t for rep in whole], rtol=0, atol=1e-10)
 
 
 def test_maslov_reversal_flips_sign(heis):
@@ -243,39 +261,81 @@ def test_endpoint_crossing_is_rejected(heis):
 # synthetic curves exercising the detectors
 
 class _SyntheticCurve:
-    """Rotating pair of lines R_theta + R_{-theta}: multiplicity-2 touch of the
-    vertical at theta = 0 with a signature-zero nondegenerate crossing form."""
+    """Rotating pair of lines R_theta + R_{-theta} with theta = t - 0.5:
+    multiplicity-2 touch of the vertical at theta = 0 with a signature-zero
+    nondegenerate crossing form.  With ``gap`` > 0, theta = sqrt((t - 0.5)^2
+    + gap): sigma has a minimum of about sqrt(gap) at t = 0.5 but no zero."""
+
+    def __init__(self, gap=0.0):
+        self.gap = gap
+
+    def _theta(self, ts):
+        d = np.asarray(ts, dtype=float) - 0.5
+        return np.sqrt(d * d + self.gap) if self.gap else d
 
     def frames_at(self, ts):
-        th = np.asarray(ts) - 0.5
+        th = self._theta(ts)
         c, s, z = np.cos(th), np.sin(th), np.zeros_like(th)
         return np.stack([np.stack([c, z, s, z], -1), np.stack([z, c, z, -s], -1)], -1)
 
-    def frame_at(self, t):
-        return LagrangianFrame(self.frames_at([t])[0])
-
-    def velocity_at(self, t):
-        th = t - 0.5
-        return np.array([[-math.sin(th), 0.0], [0.0, -math.sin(th)],
-                         [math.cos(th), 0.0], [0.0, -math.cos(th)]])
+    def jet_at(self, t):
+        th = float(self._theta(t))
+        dth = (t - 0.5) / th if self.gap else 1.0
+        velocity = dth * np.array([[-math.sin(th), 0.0], [0.0, -math.sin(th)],
+                                   [math.cos(th), 0.0], [0.0, -math.cos(th)]])
+        return self.frames_at([t])[0], velocity
 
 
 def test_even_multiplicity_touch_detected_by_sweep():
     curve = _SyntheticCurve()
     reports = locate_crossings(curve, vertical_frame(2), 0.2, 0.8)
     assert len(reports) == 1
-    assert reports[0].t == pytest.approx(0.5, abs=1e-6)
+    assert reports[0].t == pytest.approx(0.5, abs=1e-12)
     assert reports[0].multiplicity == 2
     assert reports[0].signature == 0
+    _assert_brackets(reports, 0.2, 0.8)
     assert maslov_index(curve, vertical_frame(2), 0.2, 0.8) == 0
+
+
+@pytest.mark.parametrize("r, s", [(0.2, 0.8), (0.2, 0.70002), (0.25, 0.75)])
+def test_near_miss_minimum_is_not_a_crossing(r, s):
+    # sigma dips to 1e-5 at t = 0.5 without vanishing.  The windows put 0.5 on
+    # a grid point (the slope vanishes, Newton leaves the window), 1.2e-5 from
+    # one (Newton stalls; the multiplicity test drops the minimum) and mid-cell
+    curve = _SyntheticCurve(gap=1e-10)
+    assert locate_crossings(curve, vertical_frame(2), r, s) == []
+
+
+class _SteepLine:
+    """Line [cos theta; sin theta] in R^2 with theta = 0.3 tanh(1e4 (t - 0.5002)):
+    one regular crossing of the vertical, so steep that Newton from the
+    nearest grid point of the scan (0.5) overshoots the sign-change cell."""
+
+    def _theta(self, ts):
+        return 0.3 * np.tanh(1e4 * (np.asarray(ts, dtype=float) - 0.5002))
+
+    def frames_at(self, ts):
+        th = self._theta(ts)
+        return np.stack([np.cos(th), np.sin(th)], -1)[..., None]
+
+    def jet_at(self, t):
+        th = float(self._theta(t))
+        dth = 3e3 * (1 - (th / 0.3) ** 2)
+        return self.frames_at([t])[0], dth * np.array([[-math.sin(th)], [math.cos(th)]])
+
+
+def test_sign_change_refinement_falls_back_to_bisection():
+    reports = locate_crossings(_SteepLine(), vertical_frame(1), 0.2, 0.8)
+    assert len(reports) == 1
+    assert reports[0].t == pytest.approx(0.5002, abs=1e-12)
+    assert (reports[0].multiplicity, reports[0].signature) == (1, 1)
+    grid = _scan_grid(0.2, 0.8)
+    assert reports[0].bracket == (grid[300], grid[301])  # the sign-change cell
 
 
 class _FrozenCurve:
     def frames_at(self, ts):
         return np.broadcast_to(vertical_frame(2).matrix, (len(ts), 4, 2))
-
-    def frame_at(self, t):
-        return vertical_frame(2)
 
 
 def test_identically_singular_indicator_aborts():
@@ -291,8 +351,9 @@ def test_count_conjugate_scaled_ray(heis):
     reports = count_conjugate_on_ray(heis, np.zeros(3), np.array([1.0, 0, alpha]),
                                      0.05, 1.0)
     assert len(reports) == 1
-    assert reports[0].t == pytest.approx(TWO_PI / alpha, abs=1e-8)
+    assert reports[0].t == pytest.approx(TWO_PI / alpha, abs=1e-12)
     assert reports[0].multiplicity == 1
+    _assert_brackets(reports, 0.05, 1.0)
 
 
 def test_count_conjugate_three_roots_below_thirteen(heis):
@@ -301,9 +362,33 @@ def test_count_conjugate_three_roots_below_thirteen(heis):
     times = [rep.t for rep in reports]
     expected = [TWO_PI / 13, ALPHA_STAR / 13, 4 * math.pi / 13]
     assert len(reports) == 3
-    assert np.allclose(times, expected, atol=1e-8)
+    assert np.allclose(times, expected, rtol=0, atol=1e-12)
     assert all(rep.multiplicity == 1 for rep in reports)
     assert sum(rep.signature for rep in reports) == -3
+    _assert_brackets(reports, 0.05, 1.0)
+
+
+@pytest.mark.parametrize("name, covector, r, s", [
+    ("heisenberg", (1.0, 0.0, 13.0), 0.05, 1.0),
+    ("heisenberg", (0.7, -0.4, 13.0), 0.05, 1.0),
+    ("engel", (2.041, -2.556, 1.254, -47.53), 0.3, 0.95),
+])
+def test_refinement_work_per_crossing(heis, monkeypatch, name, covector, r, s):
+    # every off-grid trajectory lookup re-integrates from the nearest sample;
+    # Newton refinement with the exact slope needs a few per crossing
+    struct = heis if name == "heisenberg" else load_structure(str(ENGEL_FILE))
+    lookups = []
+    orig = ExtremalTrajectory.at
+
+    def counted(traj, t):
+        lookups.append(traj._locate(t) is None)
+        return orig(traj, t)
+
+    monkeypatch.setattr(ExtremalTrajectory, "at", counted)
+    reports = count_conjugate_on_ray(struct, np.zeros(struct.n), np.array(covector), r, s)
+    assert len(reports) >= 2
+    _assert_brackets(reports, r, s)
+    assert sum(lookups) <= 8 * len(reports)
 
 
 def test_reported_crossings_match_exponential_singularities(heis):
