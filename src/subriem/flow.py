@@ -1,8 +1,10 @@
 """Hamiltonian geodesic flow and its variational equation.
 
-Integrates the canonical Hamilton equations ``qdot = dH/dp, pdot = -dH/dq``
-jointly with the linearized flow ``Phidot = S(t) Phi`` as one augmented system
-(2n + 4n^2 components) so state and fundamental matrix share step selection.
+Integrates the canonical Hamilton equations ``zdot = J grad H`` (``qdot =
+dH/dp, pdot = -dH/dq``) jointly with the linearized flow ``Phidot = S(t) Phi``,
+``S = J Hess H``, as one augmented system (2n + 4n^2 components) so state and
+fundamental matrix share step selection.  ``J = [[0, I], [-I, 0]]`` in (q, p)
+order has only 0 and +-1 entries, so its products are exact.
 The integrator is an embedded Dormand-Prince 5(4) pair with PI step-size
 control and exact landing on requested sample times.  It advances a batch of
 B such systems with shared steps; a single extremal is the batch B = 1.
@@ -21,7 +23,7 @@ import numpy as np
 
 from .errors import (DimensionMismatchError, IntegrationError,
                      NonFiniteStateError, StepSizeUnderflowError)
-from .linalg import omega_qp, symplectic_defect
+from .linalg import omega_px, omega_qp, symplectic_defect
 from .structure import Structure
 
 DEFAULT_TOL = 1e-10
@@ -29,17 +31,18 @@ ABS_FLOOR = 1e-13
 
 # Dormand-Prince 5(4) tableau
 _C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_A = np.array([
-    [0, 0, 0, 0, 0, 0],
-    [1 / 5, 0, 0, 0, 0, 0],
-    [3 / 40, 9 / 40, 0, 0, 0, 0],
-    [44 / 45, -56 / 15, 32 / 9, 0, 0, 0],
-    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0, 0],
-    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0],
-])
+_A = [np.array(row) for row in (       # stage i combines stages 0..i-1 by _A[i]
+    [],
+    [1 / 5],
+    [3 / 40, 9 / 40],
+    [44 / 45, -56 / 15, 32 / 9],
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
+)]
 _B = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
 _E = _B - np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
                     -92097 / 339200, 187 / 2100, 1 / 40])
+_B5 = _B[:6]
 
 _MAX_STEPS = 1_000_000
 _EPS = np.finfo(float).eps
@@ -99,13 +102,13 @@ def _dopri5(fun, t0: float, y0: np.ndarray, targets: Sequence[float],
         stages[0] = f
         bad = False
         for i in range(1, 6):
-            yi = y + h * (_A[i, :i] @ k[:i]).reshape(y.shape)
+            yi = y + h * (_A[i] @ k[:i]).reshape(y.shape)
             stages[i] = fun(t + _C[i] * h, yi)
             if not np.isfinite(stages[i]).all():
                 bad = True
                 break
         if not bad:
-            y_new = y + h * (_B[:6] @ k[:6]).reshape(y.shape)
+            y_new = y + h * (_B5 @ k[:6]).reshape(y.shape)
             stages[6] = fun(t + h, y_new)
             bad = not np.isfinite(stages[6]).all()
         if bad:
@@ -140,23 +143,20 @@ def _dopri5(fun, t0: float, y0: np.ndarray, targets: Sequence[float],
 
 
 def _augmented_rhs(struct: Structure):
-    """Hamilton's equations plus the variational equation on (B, 2n + 4n^2) rows."""
-    n = struct.n
+    """Hamilton's equations plus the variational equation on (B, 2n + 4n^2) rows:
+    ``z' = J grad H`` and ``Phi' = S Phi`` with ``S = J Hess H``.  J has only
+    0 and +-1 entries, so both products with it are exact."""
+    n2 = 2 * struct.n
+    j_mat = omega_px(struct.n)     # J = [[0, I], [-I, 0]] in (q, p) order
+    j_tr = j_mat.T.copy()
 
     def rhs(t, y):
         b = y.shape[0]
-        _, gq, gp, hqq, hqp, hpp = struct.jet_raw_batch(y[:, :n], y[:, n:2 * n])
-        # S = J Hess, so that Phi' = S Phi
-        s_mat = np.empty((b, 2 * n, 2 * n))
-        s_mat[:, :n, :n] = hqp.transpose(0, 2, 1)
-        s_mat[:, :n, n:] = hpp
-        np.negative(hqq, out=s_mat[:, n:, :n])
-        np.negative(hqp, out=s_mat[:, n:, n:])
+        _, grad, hess = struct.jet_raw_batch(y[:, :n2])
         dy = np.empty_like(y)
-        dy[:, :n] = gp
-        np.negative(gq, out=dy[:, n:2 * n])
-        np.matmul(s_mat, y[:, 2 * n:].reshape(b, 2 * n, 2 * n),
-                  out=dy[:, 2 * n:].reshape(b, 2 * n, 2 * n))
+        np.matmul(grad, j_tr, out=dy[:, :n2])
+        np.matmul(j_mat @ hess, y[:, n2:].reshape(b, n2, n2),
+                  out=dy[:, n2:].reshape(b, n2, n2))
         return dy
 
     return rhs
@@ -347,13 +347,10 @@ def check_constant_speed(traj: ExtremalTrajectory) -> tuple[float, float]:
     The squared speed of the projected geodesic is sum_k h_k(lambda(t))^2.
     """
     n = traj.n
-    h_vals = traj.hamiltonian_values()
-    h0 = h_vals[0]
-    denom = abs(h0) if abs(h0) > 0 else 1.0
-    drift = float(np.max(np.abs(h_vals - h0)) / denom)
+    h0 = traj.structure.hamiltonian_raw(traj.states[0][:n], traj.states[0][n:])
     speeds = np.array([
         float(np.sum(traj.structure.momenta_raw(s[:n], s[n:]) ** 2))
         for s in traj.states
     ])
     gap = float(np.max(np.abs(speeds - 2.0 * h0)))
-    return drift, gap
+    return traj.energy_drift(), gap

@@ -49,7 +49,7 @@ def frame_matrices(struct: Structure, traj: ExtremalTrajectory, t: float) -> Fra
     """Read A = H_pq, B = H_pp, R = -H_qq off the exact Hessian at lambda(t)."""
     state = traj.state_at(t)
     n = struct.n
-    hqq, hqp, hpp = struct.hessian_blocks(state[:n], state[n:])
+    _, _, _, hqq, hqp, hpp = struct.jet_raw(state[:n], state[n:])
     return FrameMatrices(t, hqp.T.copy(), hpp, -hqq)
 
 

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Sequence
 
 import numpy as np
@@ -170,8 +171,8 @@ class JacobiCurveSamples:
         forward curve as S Phi [I; 0]."""
         state, phi = self.traj.at(t)
         n = self.traj.n
-        hqq, hqp, hpp = self.traj.structure.hessian_blocks(state[:n], state[n:])
-        s_px = np.block([[-hqp, -hqq], [hpp, hqp.T]])
+        _, _, hess = self.traj.structure.jet_raw_batch(state[None])
+        s_px = block_swap(omega_px(n) @ hess[0])
         frame = _curve_frames(self.kind, phi)
         if self.kind == "jacobi":
             return frame, -_sympl_inverse(block_swap(phi)) @ s_px[:, :n]
@@ -261,7 +262,7 @@ def _scan_grid(r: float, s: float) -> np.ndarray:
 
 
 def _refine(curve, l0: LagrangianFrame, lo: float, hi: float, t: float,
-            det_lo: float | None = None) -> float | None:
+            det_lo: float | None = None) -> tuple[float, np.ndarray, np.ndarray] | None:
     """Zero of sigma(t), the smallest singular value of G(t) = L0^T Omega F(t),
     by Newton from the grid point t of [lo, hi] with the exact slope
     u^T G'(t) v (u, v the singular vectors of sigma).  With ``det_lo`` (det G
@@ -269,7 +270,8 @@ def _refine(curve, l0: LagrangianFrame, lo: float, hi: float, t: float,
     that leaves it or fails to halve is replaced by bisection.  In a touch
     window a step that leaves [lo, hi] means sigma has a minimum but no zero
     (None); one that fails to halve means Newton stalled (a near miss, or a
-    zero resolved to rounding) and the multiplicity test decides.
+    zero resolved to rounding) and the multiplicity test decides.  Returns
+    the zero with the curve's jet there (Newton's last one), or None.
     """
     pair = l0.matrix.T @ omega_px(l0.n)
     last = math.inf
@@ -281,16 +283,17 @@ def _refine(curve, l0: LagrangianFrame, lo: float, hi: float, t: float,
         step = svals[-1] / slope if slope else math.inf
         tiny = 4 * np.finfo(float).eps * max(1.0, abs(t))
         if abs(step) <= tiny:
-            return t
+            return t, frame, velocity
         if det_lo is None:
             if not lo <= t - step <= hi:
                 return None
             if abs(step) > 0.5 * last:
-                return t
+                return t, frame, velocity
         else:
             lo, hi = (t, hi) if (np.linalg.det(g_mat) < 0) == (det_lo < 0) else (lo, t)
             if hi - lo <= tiny:
-                return 0.5 * (lo + hi)
+                t = 0.5 * (lo + hi)
+                return (t, *curve.jet_at(t))
             if not (lo < t - step < hi and abs(step) <= 0.5 * last):
                 step = t - 0.5 * (lo + hi)
         last = abs(step)
@@ -299,10 +302,9 @@ def _refine(curve, l0: LagrangianFrame, lo: float, hi: float, t: float,
         f"Newton refinement on [{lo}, {hi}] did not settle in {NEWTON_STEPS} steps")
 
 
-def _multiplicity(curve, l0, t_star: float, scale: float) -> int:
-    """Kernel dimension of the pairing at a refined crossing time, measured
-    against the scan-wide scale of the pairing matrices."""
-    g_mat = l0.matrix.T @ omega_px(l0.n) @ curve.frames_at([t_star])[0]
+def _multiplicity(g_mat: np.ndarray, t_star: float, scale: float) -> int:
+    """Kernel dimension of the pairing ``g_mat`` at a refined crossing time,
+    measured against the scan-wide scale of the pairing matrices."""
     svals = np.linalg.svd(g_mat, compute_uv=False)
     small = svals < RANK_REL_TOL * scale
     if np.any(small) and np.any(~small):
@@ -321,7 +323,8 @@ def locate_crossings(curve, l0: LagrangianFrame, r: float, s: float) -> list[Cro
     identically on a sub-interval (abnormal segment).
     """
     grid = _scan_grid(r, s)
-    g_mats = (l0.matrix.T @ omega_px(l0.n)) @ curve.frames_at(grid)
+    pair = l0.matrix.T @ omega_px(l0.n)
+    g_mats = pair @ curve.frames_at(grid)
     svals = np.linalg.svd(g_mats, compute_uv=False)
     dets = np.linalg.det(g_mats)
     scale = max(float(svals[:, 0].max()), 1e-300)
@@ -368,25 +371,29 @@ def locate_crossings(curve, l0: LagrangianFrame, r: float, s: float) -> list[Cro
         consumed[i - 1:i + 1] = True
         candidates.append((i - 1, i + 1, i, False))
 
-    crossings: list[tuple[float, float, float]] = []
+    crossings: list[tuple[float, np.ndarray, np.ndarray, float, float]] = []
     for lo, hi, start, flip in candidates:
-        t_star = _refine(curve, l0, grid[lo], grid[hi], grid[start],
-                         dets[lo] if flip else None)
-        if t_star is not None:
-            crossings.append((t_star, grid[lo], grid[hi]))
+        hit = _refine(curve, l0, grid[lo], grid[hi], grid[start],
+                      dets[lo] if flip else None)
+        if hit is not None:
+            crossings.append((*hit, grid[lo], grid[hi]))
 
     crossings.sort(key=lambda c: c[0])
-    for (t1, _, _), (t2, _, _) in zip(crossings, crossings[1:]):
+    times = [c[0] for c in crossings]
+    for t1, t2 in zip(times, times[1:]):
         if t2 - t1 < CLUSTER_TOL:
             raise UnresolvedCrossingError(
                 f"crossings at {t1} and {t2} are closer than {CLUSTER_TOL}")
 
     reports = []
-    for t_star, lo, hi in crossings:
-        mult = _multiplicity(curve, l0, t_star, scale)
+    for t_star, frame, velocity, lo, hi in crossings:
+        _check_lagrangian(frame[None])
+        mult = _multiplicity(pair @ frame, t_star, scale)
         if mult == 0:
             continue
-        form = crossing_form(curve, t_star, l0, multiplicity=mult)
+        # the form reads the jet Newton already has at t*, not the trajectory
+        pinned = SimpleNamespace(jet_at=lambda _: (frame, velocity))
+        form = crossing_form(pinned, t_star, l0, multiplicity=mult)
         reports.append(CrossingReport(t_star, mult, form_signature(form), (lo, hi)))
     return reports
 

@@ -185,12 +185,13 @@ class _JetTable:
             for expo, coef in poly.terms:
                 self.coefs[row_of[expo], col] = coef
         self.top = max((max(expo) for expo in monomials), default=0)
-        # monomial r is the product of powers.reshape(B, -1)[:, gather[r]], where
-        # powers[:, e, j] = z_j^e; entry 0 (z_0^0 = 1) pads the short rows
+        # monomial r is the product over w of powers.reshape(B, -1)[:, gather[w, r]],
+        # where powers[:, e, j] = z_j^e; entry 0 (z_0^0 = 1) pads the short
+        # monomials, and a constant monomial is one such padding factor
         factors = [[e * d + j for j, e in enumerate(expo) if e] for expo in monomials]
-        width = max(map(len, factors), default=0)
+        width = max([1, *map(len, factors)])
         self.gather = np.array([f + [0] * (width - len(f)) for f in factors],
-                               dtype=np.int64).reshape(len(monomials), width)
+                               dtype=np.int64).reshape(len(monomials), width).T.copy()
         m = struct.m
         hess_cols = np.empty((d, d), dtype=np.int64)
         for col, (j, l) in enumerate(pairs, start=m + 1 + d):
@@ -206,7 +207,11 @@ class _JetTable:
         powers[:, 0] = 1.0
         for e in range(1, self.top + 1):
             np.multiply(powers[:, e - 1], z, out=powers[:, e])
-        flat = powers.reshape(b, -1)[:, self.gather].prod(axis=2) @ self.coefs
+        gathered = powers.reshape(b, -1)[:, self.gather]       # (B, width, R)
+        monos = gathered[:, 0]
+        for w in range(1, gathered.shape[1]):
+            monos *= gathered[:, w]
+        flat = monos @ self.coefs
         return (flat[:, :m], flat[:, m], flat[:, m + 1:m + 1 + d],
                 flat.take(self.hess_cols, axis=1).reshape(b, d, d))
 
@@ -243,12 +248,6 @@ class Structure:
         if state.n != self.n:
             raise DimensionMismatchError(f"state on R^{state.n}, structure on R^{self.n}")
 
-    def _jet_blocks(self, z: np.ndarray):
-        _, values, grad, hess = self._table.evaluate(z)
-        n = self.n
-        return (values, grad[:, :n], grad[:, n:],
-                hess[:, :n, :n], hess[:, :n, n:], hess[:, n:, n:])
-
     # raw-array entry points used by the integrators (hot path)
 
     def momenta_raw(self, q: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -265,21 +264,18 @@ class Structure:
         symmetric; the full Hessian in (q, p) order is
         ``[[hqq, hqp], [hqp.T, hpp]]``.
         """
-        values, gq, gp, hqq, hqp, hpp = self._jet_blocks(np.concatenate([q, p])[None])
-        return float(values[0]), gq[0], gp[0], hqq[0], hqp[0], hpp[0]
+        _, values, grad, hess = self._table.evaluate(np.concatenate([q, p])[None])
+        n = self.n
+        return (float(values[0]), grad[0, :n], grad[0, n:],
+                hess[0, :n, :n], hess[0, :n, n:], hess[0, n:, n:])
 
-    def hessian_blocks(self, q: np.ndarray, p: np.ndarray):
-        """(hqq, hqp, hpp) of H at (q, p), each n x n, hqq and hpp exactly symmetric."""
-        _, _, _, hqq, hqp, hpp = self.jet_raw(q, p)
-        return hqq, hqp, hpp
+    def jet_raw_batch(self, z: np.ndarray):
+        """Batched Hamiltonian jet over the (B, 2n) phase rows z = (q, p).
 
-    def jet_raw_batch(self, q_batch: np.ndarray, p_batch: np.ndarray):
-        """Batched Hamiltonian jet over (B, n) arrays of positions and momenta.
-
-        Returns ``(values (B,), gq (B,n), gp (B,n), hqq, hqp, hpp)`` with the
-        Hessian blocks of shape (B, n, n).
+        Returns ``(values (B,), grad (B, 2n), hess (B, 2n, 2n))`` in (q, p)
+        order, each Hessian exactly symmetric; ``z`` may be a strided view.
         """
-        return self._jet_blocks(np.concatenate([q_batch, p_batch], axis=1))
+        return self._table.evaluate(z)[1:]
 
 
 # ---------------------------------------------------------------------------

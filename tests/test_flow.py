@@ -1,13 +1,17 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from subriem.errors import DimensionMismatchError, IntegrationError
-from subriem.flow import (check_constant_speed, d_exp, exp_map, integrate_extremal,
-                          integrate_extremal_batch)
+from subriem.flow import (_augmented_rhs, check_constant_speed, d_exp, exp_map,
+                          integrate_extremal, integrate_extremal_batch)
 from subriem.heisenberg import HeisCovector, heis_state
-from subriem.structure import PolyVectorField, Structure
+from subriem.maslov import _scan_grid
+from subriem.structure import PolyVectorField, Structure, load_structure
+
+ENGEL_FILE = Path(__file__).resolve().parents[1] / "bench" / "engel.json"
 
 TWO_PI = 2 * math.pi
 
@@ -185,3 +189,48 @@ def test_batch_matches_single_integration(heis):
         single = integrate_extremal(heis, np.zeros(3), cov, 1.0, 1e-10, samples=9)
         assert np.max(np.abs(single.states - traj.states)) < 1e-9
         assert np.max(np.abs(single.phis - traj.phis)) < 1e-8
+
+
+def _reference_rhs(struct, y):
+    """Hamilton's equations plus Phi' = S Phi with S = J Hess H assembled block
+    by block from the jet: [[H_pq, H_pp], [-H_qq, -H_qp]]."""
+    n, b = struct.n, y.shape[0]
+    _, grad, hess = struct.jet_raw_batch(y[:, :2 * n])
+    gq, gp = grad[:, :n], grad[:, n:]
+    hqq, hqp, hpp = hess[:, :n, :n], hess[:, :n, n:], hess[:, n:, n:]
+    s_mat = np.empty((b, 2 * n, 2 * n))
+    s_mat[:, :n, :n] = hqp.transpose(0, 2, 1)
+    s_mat[:, :n, n:] = hpp
+    np.negative(hqq, out=s_mat[:, n:, :n])
+    np.negative(hqp, out=s_mat[:, n:, n:])
+    dy = np.empty_like(y)
+    dy[:, :n] = gp
+    np.negative(gq, out=dy[:, n:2 * n])
+    dy[:, 2 * n:] = (s_mat @ y[:, 2 * n:].reshape(b, 2 * n, 2 * n)).reshape(b, -1)
+    return dy
+
+
+@pytest.mark.parametrize("batch", [1, 7])
+def test_augmented_rhs_matches_block_assembly_bitwise(heis, quadratic, batch):
+    # the products with J only permute and negate, so they are exact
+    rng = np.random.default_rng(8)
+    for struct in (heis, quadratic, load_structure(str(ENGEL_FILE))):
+        d = 2 * struct.n
+        y = rng.uniform(-2, 2, (batch, d + d * d))
+        assert np.array_equal(_augmented_rhs(struct)(0.0, y), _reference_rhs(struct, y))
+
+
+def test_scan_integration_jet_rows_bounded(heis, monkeypatch):
+    # deterministic cost gate: jet rows of one landing integration over the
+    # scan grid of (1, 0, 13)
+    rows = []
+    orig = Structure.jet_raw_batch
+
+    def counted(struct, z):
+        rows.append(len(z))
+        return orig(struct, z)
+
+    monkeypatch.setattr(Structure, "jet_raw_batch", counted)
+    integrate_extremal(heis, np.zeros(3), np.array([1.0, 0.0, 13.0]), 1.0,
+                       samples=_scan_grid(0.05, 1.0))
+    assert sum(rows) <= 10_562

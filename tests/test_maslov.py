@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from subriem import maslov
 from subriem.errors import (CrossingEndpointError, DegenerateCrossingError,
                             NonIdealStructureError, ZeroHamiltonianError)
 from subriem.flow import ExtremalTrajectory, integrate_extremal
@@ -191,7 +192,7 @@ def test_curve_derivative_rank_equals_horizontal_rank(heis, traj_2pi):
         f_star, velocity = curve.jet_at(t_star)
         deriv_form = f_star.T @ om @ velocity
         state = traj_2pi.state_at(t_star)
-        assert np.allclose(deriv_form, -heis.hessian_blocks(state[:3], state[3:])[2],
+        assert np.allclose(deriv_form, -heis.jet_raw(state[:3], state[3:])[5],
                            rtol=0, atol=1e-10)
         svals = np.linalg.svd(deriv_form, compute_uv=False)
         assert svals[1] / svals[0] > 1e-3
@@ -375,7 +376,8 @@ def test_count_conjugate_three_roots_below_thirteen(heis):
 ])
 def test_refinement_work_per_crossing(heis, monkeypatch, name, covector, r, s):
     # every off-grid trajectory lookup re-integrates from the nearest sample;
-    # Newton refinement with the exact slope needs a few per crossing
+    # Newton refinement with the exact slope needs a few per crossing, and the
+    # multiplicity and the crossing form reuse its last lookup
     struct = heis if name == "heisenberg" else load_structure(str(ENGEL_FILE))
     lookups = []
     orig = ExtremalTrajectory.at
@@ -384,11 +386,21 @@ def test_refinement_work_per_crossing(heis, monkeypatch, name, covector, r, s):
         lookups.append(traj._locate(t) is None)
         return orig(traj, t)
 
+    refined = []
+    orig_refine = maslov._refine
+
+    def refine(*args):
+        hit = orig_refine(*args)
+        refined.append(len(lookups))
+        return hit
+
     monkeypatch.setattr(ExtremalTrajectory, "at", counted)
+    monkeypatch.setattr(maslov, "_refine", refine)
     reports = count_conjugate_on_ray(struct, np.zeros(struct.n), np.array(covector), r, s)
     assert len(reports) >= 2
     _assert_brackets(reports, r, s)
-    assert sum(lookups) <= 8 * len(reports)
+    assert sum(lookups) <= 6 * len(reports)
+    assert len(lookups) == refined[-1]   # no lookup after the last refinement
 
 
 def test_reported_crossings_match_exponential_singularities(heis):

@@ -110,11 +110,13 @@ def test_jet_batch_rows_match_single_jet(heis, quadratic):
     for struct in (heis, quadratic):
         rng = np.random.default_rng(6)
         n = struct.n
-        q, p = rng.uniform(-2, 2, (2, 7, n))
-        batch = struct.jet_raw_batch(q, p)
+        z = rng.uniform(-2, 2, (7, 2 * n))
+        batch = struct.jet_raw_batch(z)
+        assert [a.shape for a in batch] == [(7,), (7, 2 * n), (7, 2 * n, 2 * n)]
         for i in range(7):
-            for got, want in zip(batch, struct.jet_raw(q[i], p[i])):
-                assert np.allclose(got[i], want, rtol=1e-14, atol=1e-14)
+            want = hamiltonian_jet(struct, state(z[i, :n], z[i, n:]))
+            for got, ref in zip(batch, want):
+                assert np.allclose(got[i], ref, rtol=1e-14, atol=1e-14)
 
 
 def test_jet_gradient_vanishes_at_zero_covector(heis):
