@@ -11,8 +11,8 @@ from .errors import (AmbiguousRankError, CrossingEndpointError,
                      NonIdealStructureError, SearchFailureError,
                      StepSizeUnderflowError, SubriemError,
                      UnresolvedCrossingError, ZeroHamiltonianError)
-from .flow import (ExtremalTrajectory, check_constant_speed, d_exp,
-                   d_exp_batch, exp_map, integrate_extremal,
+from .flow import (ExtremalTrajectory, IntegrationStats, check_constant_speed,
+                   d_exp, d_exp_batch, exp_map, integrate_extremal,
                    integrate_extremal_batch)
 from .heisenberg import (ALPHA_STAR, CollisionResult, ConjugateClass,
                          ConjugateRoot, HeisCovector, classify_conjugate,

@@ -66,8 +66,7 @@ def suite_r1(seed: int = 42, tol: float = 1e-10) -> list[CheckResult]:
     covs = np.vstack([_random_covectors(rng, 20, 3.0), np.array(CONJUGATE_COVECTORS)])
     trajs = integrate_extremal_batch(struct, np.zeros(3), covs, 1.0, tol, samples=33)
 
-    drift = max(check_constant_speed(t)[0] for t in trajs)
-    speed_gap = max(check_constant_speed(t)[1] for t in trajs)
+    drift, speed_gap = np.max([check_constant_speed(t) for t in trajs], axis=0)
     sympl = max(t.symplectic_defect() for t in trajs)
 
     velocity_margin = np.inf

@@ -4,10 +4,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from subriem import flow
 from subriem.errors import DimensionMismatchError, IntegrationError
 from subriem.flow import (_augmented_rhs, check_constant_speed, d_exp, exp_map,
                           integrate_extremal, integrate_extremal_batch)
-from subriem.heisenberg import HeisCovector, heis_state
+from subriem.heisenberg import HeisCovector, heis_jacobi_matrix, heis_state
+from subriem.linalg import block_swap
 from subriem.maslov import _scan_grid
 from subriem.structure import PolyVectorField, Structure, load_structure
 
@@ -220,9 +222,9 @@ def test_augmented_rhs_matches_block_assembly_bitwise(heis, quadratic, batch):
         assert np.array_equal(_augmented_rhs(struct)(0.0, y), _reference_rhs(struct, y))
 
 
-def test_scan_integration_jet_rows_bounded(heis, monkeypatch):
-    # deterministic cost gate: jet rows of one landing integration over the
-    # scan grid of (1, 0, 13)
+def _count_jet_rows(monkeypatch) -> list[int]:
+    """Rows of every ``Structure.jet_raw_batch`` call from now on, one entry
+    per call (each augmented-RHS evaluation is one call)."""
     rows = []
     orig = Structure.jet_raw_batch
 
@@ -231,6 +233,75 @@ def test_scan_integration_jet_rows_bounded(heis, monkeypatch):
         return orig(struct, z)
 
     monkeypatch.setattr(Structure, "jet_raw_batch", counted)
-    integrate_extremal(heis, np.zeros(3), np.array([1.0, 0.0, 13.0]), 1.0,
-                       samples=_scan_grid(0.05, 1.0))
-    assert sum(rows) <= 10_562
+    return rows
+
+
+def test_scan_integration_jet_rows_bounded(heis, monkeypatch):
+    # deterministic cost gate: jet rows of one integration sampled on the
+    # scan grid of (1, 0, 13)
+    rows = _count_jet_rows(monkeypatch)
+    traj = integrate_extremal(heis, np.zeros(3), np.array([1.0, 0.0, 13.0]), 1.0,
+                              samples=_scan_grid(0.05, 1.0))
+    assert sum(rows) <= 1_500
+    assert traj.stats.rhs_rows == sum(rows)
+
+
+def test_dop853_tableau_matches_reference():
+    ref = pytest.importorskip("scipy.integrate._ivp.dop853_coefficients")
+    for mine, theirs in ((flow._C, ref.C), (flow._A, ref.A), (flow._B, ref.B),
+                         (flow._E3, ref.E3), (flow._E5, ref.E5), (flow._D, ref.D)):
+        assert np.array_equal(mine, theirs)
+
+
+def test_integration_stats_record(heis, monkeypatch):
+    rows = _count_jet_rows(monkeypatch)
+    covs = np.array([[1.0, 0.2, 3.0], [0.5, -0.8, 6.0], [0.1, 0.9, -9.0]])
+    trajs = integrate_extremal_batch(heis, np.zeros(3), covs, 1.0, 1e-10, samples=17)
+    stats = trajs[0].stats
+    assert all(t.stats is stats for t in trajs)
+    assert stats.rhs_rows == sum(rows) and set(rows) == {3}
+    bounds = stats.boundaries
+    assert bounds[0] == 0.0 and bounds[-1] == 1.0 and np.all(np.diff(bounds) > 0)
+    assert len(bounds) == stats.accepted + 1
+    steps = np.diff(bounds)
+    assert stats.h_min == pytest.approx(steps.min(), rel=1e-12)
+    assert stats.h_max == pytest.approx(steps.max(), rel=1e-12)
+    assert 0.0 < stats.max_error <= 1.0 and stats.rejected >= 0
+    # 2 calls pick the first step, each try runs 11 new stages, each accepted
+    # step one f(t + h) and, if it holds samples, 3 dense-output stages
+    calls = 2 + 11 * (stats.accepted + stats.rejected) + stats.accepted
+    assert calls <= stats.rhs_rows / 3 <= calls + 3 * stats.accepted
+
+
+def test_off_sample_lookups_match_closed_form(heis):
+    cov = (0.7, -0.4, 13.0)
+    traj = integrate_extremal(heis, np.zeros(3), np.array(cov), 1.0, samples=9)
+    hc = HeisCovector((0, 0, 0), cov)
+    ts = np.random.default_rng(6).uniform(0.0, 1.0, 40)
+    phis = traj.phis_at(ts)
+    for t_val, phi_batch in zip(ts, phis):
+        state, phi = traj.at(float(t_val))
+        assert np.max(np.abs(state - heis_state(hc, t_val))) <= 1e-11
+        assert np.max(np.abs(block_swap(phi) - heis_jacobi_matrix(hc, t_val))) <= 1e-10
+        assert np.max(np.abs(phi_batch - phi)) <= 1e-13
+
+
+def test_off_sample_lookup_work_is_bounded(heis, monkeypatch):
+    traj = integrate_extremal(heis, np.zeros(3), np.array([1.0, 0.0, 13.0]), 1.0, samples=9)
+    bounds = traj.stats.boundaries
+    rows = _count_jet_rows(monkeypatch)
+    ts = np.random.default_rng(7).uniform(0.0, 1.0, 25)
+    for t_val in ts:
+        rows.clear()
+        traj.at(float(t_val))
+        start = traj.ts[np.searchsorted(traj.ts, t_val, side="right") - 1]
+        crossed = np.count_nonzero((bounds > start) & (bounds < t_val))
+        assert 0 < sum(rows) <= 12 * (crossed + 1)
+    # a stored sample costs nothing; many off-sample rows go as one batch
+    rows.clear()
+    traj.at(float(traj.ts[3]))
+    assert rows == []
+    traj.phis_at(ts)
+    pieces = max(np.count_nonzero((bounds > traj.ts[np.searchsorted(traj.ts, t, side="right") - 1])
+                                  & (bounds < t)) + 1 for t in ts)
+    assert len(rows) == 12 * pieces and rows[0] == len(ts)

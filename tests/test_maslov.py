@@ -375,7 +375,7 @@ def test_count_conjugate_three_roots_below_thirteen(heis):
     ("engel", (2.041, -2.556, 1.254, -47.53), 0.3, 0.95),
 ])
 def test_refinement_work_per_crossing(heis, monkeypatch, name, covector, r, s):
-    # every off-grid trajectory lookup re-integrates from the nearest sample;
+    # every off-grid trajectory lookup replays integrator steps from a sample;
     # Newton refinement with the exact slope needs a few per crossing, and the
     # multiplicity and the crossing form reuse its last lookup
     struct = heis if name == "heisenberg" else load_structure(str(ENGEL_FILE))
