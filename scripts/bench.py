@@ -1,20 +1,20 @@
 #!/usr/bin/env python3
 """Compare the end-to-end benchmark of two checkouts in alternating pairs.
 
-    python3 scripts/bench.py --parent ../parent --change . --pr 6 \\
-        --pairs 10 --seconds 30 --seed 6100
+    python3 scripts/bench.py --parent ../parent --change . --pr 6 --seed 6100
 
-For every workload of ``BENCHMARK.json`` (or those given by ``--workloads``)
-and every pair i, runs ``bench/run.py --workload W --seed SEED+i --seconds S
---trace 0`` once in each checkout, one process at a time, the parent first on
-even pairs and the change first on odd ones, so slow drift of the machine
-falls on both sides alike.  Each run's last stdout line is its JSON result.
+For every workload of the change's ``BENCHMARK.json`` and each of ten pairs i,
+runs ``bench/run.py --workload W --seed SEED+i --seconds S --trace 0`` once in
+each checkout, with S the file's ``run_seconds``, one process at a time, the
+parent first on even pairs and the change first on odd ones, so slow drift of
+the machine falls on both sides alike.  Each run's last stdout line is its
+JSON result.
 
-Writes ``BENCH_<pr>.json`` with, per workload and metric, each side's median
-and quartiles over the pairs, the change's pairs won and tied (by the
-metric's ``better`` direction in ``BENCHMARK.json``), the parent's IQR and
-whether the change's median is better by more than it; plus every run's raw
-metrics and failure counts.
+Writes ``BENCH_<pr>.json`` into the change's checkout with, per workload and
+metric, each side's median and quartiles over the pairs, the change's pairs
+won and tied (by the metric's ``better`` direction in ``BENCHMARK.json``), the
+parent's IQR and whether the change's median is better by more than it; plus
+every run's raw metrics and failure counts.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+PAIRS = 10
 
 
 def _run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -74,27 +75,23 @@ def main() -> int:
     ap.add_argument("--parent", required=True, type=Path, help="checkout of the parent commit")
     ap.add_argument("--change", default=ROOT, type=Path, help="checkout of the change")
     ap.add_argument("--pr", required=True, help="label of the output file BENCH_<pr>.json")
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float, default=30.0)
     ap.add_argument("--seed", type=int, default=6100, help="seed of the first pair")
-    ap.add_argument("--workloads", nargs="*", help="default: every workload of BENCHMARK.json")
-    ap.add_argument("--out", type=Path, help="default: BENCH_<pr>.json in --change")
     args = ap.parse_args()
 
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
-    workloads = args.workloads or [w["name"] for w in spec["workloads"]]
+    seconds = spec["run_seconds"]
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
 
-    report = {"pairs": args.pairs, "seconds": args.seconds, "seeds":
-              [args.seed + i for i in range(args.pairs)], "workloads": {}}
-    for workload in workloads:
+    report = {"pairs": PAIRS, "seconds": seconds,
+              "seeds": [args.seed + i for i in range(PAIRS)], "workloads": {}}
+    for workload in (w["name"] for w in spec["workloads"]):
         runs = {"parent": [], "change": []}
-        for i in range(args.pairs):
+        for i in range(PAIRS):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for side in order:
                 start = time.time()
-                runs[side].append(_run(sides[side], workload, args.seed + i, args.seconds))
+                runs[side].append(_run(sides[side], workload, args.seed + i, seconds))
                 print(f"{workload} pair {i} {side}: {time.time() - start:.0f} s", file=sys.stderr)
         metrics = {}
         for name, direction in better.items():
@@ -108,7 +105,7 @@ def main() -> int:
             "runs": {side: [{k: v["value"] for k, v in r["metrics"].items()}
                             for r in runs[side]] for side in runs},
         }
-    out = args.out or args.change / f"BENCH_{args.pr}.json"
+    out = args.change / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(report, indent=1) + "\n")
     print(f"wrote {out}", file=sys.stderr)
     return 0
