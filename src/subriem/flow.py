@@ -376,40 +376,11 @@ class ExtremalTrajectory:
         idx, hit = self._match(np.array([t], dtype=float))
         return int(idx[0]) if hit[0] else None
 
-    def _replay(self, ts: np.ndarray) -> np.ndarray:
-        """Augmented states (R, 2n + 4n^2) at off-sample times: fixed DOP853
-        steps from the last sample at or before each time, split at the
-        accepted step boundaries, so no sub-step is longer than the step the
-        controller accepted there.  All rows run as one batch."""
-        if np.any(ts < -1e-12) or np.any(ts > self.t_final + 1e-12 * max(1.0, self.t_final)):
-            raise ValueError(f"t outside the integrated span [0, {self.t_final}]")
-        j = np.maximum(np.searchsorted(self.ts, ts, side="right") - 1, 0)
-        y = np.concatenate([self.states[j], self.phis[j].reshape(len(j), -1)], axis=1)
-        return _fixed_steps(_augmented_rhs(self.structure), y, self.ts[j], ts,
-                            self.stats.boundaries)
-
     def at(self, t: float) -> tuple[np.ndarray, np.ndarray]:
         """State and fundamental matrix at ``t``: a stored sample, or a replay
         of the accepted steps from the last sample before ``t``."""
-        hit = self._locate(t)
-        if hit is not None:
-            return self.states[hit].copy(), self.phis[hit].copy()
-        y = self._replay(np.array([t], dtype=float))[0]
-        n2 = 2 * self.n
-        return y[:n2], y[n2:].reshape(n2, n2)
-
-    def phis_at(self, ts) -> np.ndarray:
-        """Fundamental matrices (T, 2n, 2n) at many times: stored samples are
-        indexed as ``_locate`` matches them, the other times replayed as one
-        batch."""
-        ts = np.asarray(ts, dtype=float)
-        idx, hit = self._match(ts)
-        phis = self.phis[idx]
-        off = np.flatnonzero(~hit)
-        if len(off):
-            n2 = 2 * self.n
-            phis[off] = self._replay(ts[off])[:, n2:].reshape(-1, n2, n2)
-        return phis
+        states, phis = lookup([self], 0, np.array([t], dtype=float))
+        return states[0], phis[0]
 
     def state_at(self, t: float) -> np.ndarray:
         return self.at(t)[0]
@@ -427,6 +398,40 @@ class ExtremalTrajectory:
     def symplectic_defect(self) -> float:
         om = omega_qp(self.n)
         return max(symplectic_defect(phi, om) for phi in self.phis)
+
+
+def lookup(trajs: Sequence[ExtremalTrajectory], rays, ts) -> tuple[np.ndarray, np.ndarray]:
+    """States (m, 2n) and fundamental matrices (m, 2n, 2n) of ``trajs[rays[i]]``
+    at ``ts[i]``, for trajectories of one batch (one sample grid and one step
+    record); ``rays`` broadcasts against ``ts``.  Stored samples are read as
+    ``_match`` finds them.  Every other row is replayed from the last sample
+    at or before its time by fixed DOP853 steps, split at the accepted step
+    boundaries so that no sub-step is longer than the step the controller
+    accepted there; all such rows advance as one batch."""
+    ts = np.asarray(ts, dtype=float)
+    rays = np.broadcast_to(np.asarray(rays, dtype=np.intp), ts.shape)
+    first = trajs[0]
+    n2 = 2 * first.n
+    idx, hit = first._match(ts)
+    off = np.flatnonzero(~hit)
+    if len(off):
+        if np.any(ts[off] < -1e-12) or np.any(ts[off] > first.t_final
+                                              + 1e-12 * max(1.0, first.t_final)):
+            raise ValueError(f"t outside the integrated span [0, {first.t_final}]")
+        idx[off] = np.maximum(np.searchsorted(first.ts, ts[off], side="right") - 1, 0)
+    states = np.empty((len(ts), n2))
+    phis = np.empty((len(ts), n2, n2))
+    for ray in np.unique(rays):
+        rows = np.flatnonzero(rays == ray)
+        states[rows] = trajs[ray].states[idx[rows]]
+        phis[rows] = trajs[ray].phis[idx[rows]]
+    if len(off):
+        y = np.concatenate([states[off], phis[off].reshape(len(off), -1)], axis=1)
+        y = _fixed_steps(_augmented_rhs(first.structure), y, first.ts[idx[off]], ts[off],
+                         first.stats.boundaries)
+        states[off] = y[:, :n2]
+        phis[off] = y[:, n2:].reshape(-1, n2, n2)
+    return states, phis
 
 
 def _integrate(struct: Structure, points: np.ndarray, covectors: np.ndarray,
@@ -494,15 +499,17 @@ def integrate_extremal_batch(struct: Structure, point, covectors, t_final: float
     """Integrate many extremals jointly with shared adaptive steps.
 
     ``point`` is one base point shared by the batch or an array of shape
-    (B, n); ``covectors`` has shape (B, n).  Each trajectory individually
-    meets the tolerance (the step controller uses the worst per-system
-    error).  Arguments and results follow ``integrate_extremal``.
+    (B, n); ``covectors`` has shape (B, n) with B >= 1.  Each trajectory
+    individually meets the tolerance (the step controller uses the worst
+    per-system error).  Arguments and results follow ``integrate_extremal``.
     """
     covs = np.atleast_2d(np.asarray(covectors, dtype=float))
     b = covs.shape[0]
     n = struct.n
     if covs.shape[1] != n:
         raise DimensionMismatchError(f"covectors must have shape (B, {n})")
+    if b == 0:
+        raise ValueError("need at least one covector")
     pts = np.asarray(point, dtype=float)
     if pts.ndim == 1:
         pts = np.broadcast_to(pts, (b, n)).copy()

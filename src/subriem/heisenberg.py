@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -275,8 +276,7 @@ def heis_frame_blocks(hc: HeisCovector, t: float):
 # ---------------------------------------------------------------------------
 # conjugate locus
 
-@dataclass(frozen=True)
-class ConjugateRoot:
+class ConjugateRoot(NamedTuple):
     alpha: float
     branch: str  # "sin-zero" (alpha = 2 pi k) or "sin-nonzero" (tan(a/2) = a/2)
 
@@ -335,8 +335,7 @@ ALPHA_STAR = 2 * _bisect(lambda x: math.sin(x) - x * math.cos(x),
                          math.pi + 1e-9, 1.5 * math.pi - 1e-9, tol=1e-15)
 
 
-@dataclass(frozen=True)
-class ConjugateClass:
+class ConjugateClass(NamedTuple):
     """Classification of a covector: 'C1' (kernel tangent to the conjugate
     plane, sin alpha0 = 0), 'C0' (fold, sin alpha0 != 0) or 'none'."""
 
@@ -385,8 +384,7 @@ def fold_derivative(hc: HeisCovector) -> float:
 # ---------------------------------------------------------------------------
 # non-injectivity
 
-@dataclass(frozen=True)
-class CollisionResult:
+class CollisionResult(NamedTuple):
     lambda1: np.ndarray
     lambda2: np.ndarray
     image1: np.ndarray

@@ -14,7 +14,7 @@ the induced scalar product on the configuration space is the Euclidean one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,8 +25,7 @@ from .linalg import (block_swap, null_space, numerical_rank, orthonormalize,
 from .structure import Structure
 
 
-@dataclass(frozen=True)
-class FrameMatrices:
+class FrameMatrices(NamedTuple):
     """Coefficient matrices of the Jacobi system at one time; B and R symmetric."""
 
     t: float
@@ -53,8 +52,7 @@ def frame_matrices(struct: Structure, traj: ExtremalTrajectory, t: float) -> Fra
     return FrameMatrices(t, hqp.T.copy(), hpp, -hqq)
 
 
-@dataclass(frozen=True)
-class JacobiCoordinates:
+class JacobiCoordinates(NamedTuple):
     """Sampled coordinates (p(t), x(t)) of one Jacobi field along an extremal."""
 
     ts: np.ndarray
@@ -95,8 +93,7 @@ def pairing(j_field: JacobiCoordinates, k_field: JacobiCoordinates, t: float) ->
     return float(pj @ xk - pk @ xj)
 
 
-@dataclass(frozen=True)
-class DecompositionReport:
+class DecompositionReport(NamedTuple):
     """Orthogonal splitting of the configuration tangent space at time t into
     values of initially-vanishing Jacobi fields (basis_values) and frame
     derivatives of doubly-vanishing ones (basis_derivatives).
@@ -138,8 +135,7 @@ def decomposition(struct: Structure, traj: ExtremalTrajectory, t: float) -> Deco
     return DecompositionReport(t, basis_values, basis_derivatives, cross)
 
 
-@dataclass(frozen=True)
-class RegularityReport:
+class RegularityReport(NamedTuple):
     """Outcome of the kernel-versus-derivative independence check at t = 1."""
 
     kernel_dim: int

@@ -38,11 +38,11 @@ def omega_qp(n: int) -> np.ndarray:
 
 
 def block_swap(mat: np.ndarray) -> np.ndarray:
-    """Conjugate a 2n x 2n matrix by the permutation exchanging the two n-blocks."""
-    two_n = mat.shape[0]
-    n = two_n // 2
+    """Conjugate 2n x 2n matrices (..., 2n, 2n) by the permutation exchanging
+    the two n-blocks."""
+    n = mat.shape[-1] // 2
     perm = np.concatenate([np.arange(n, 2 * n), np.arange(n)])
-    return mat[np.ix_(perm, perm)]
+    return mat[..., perm[:, None], perm]
 
 
 def symplectic_defect(mat: np.ndarray, omega: np.ndarray) -> float:

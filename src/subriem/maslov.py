@@ -12,16 +12,21 @@ Two curves of Lagrangian subspaces are attached to an extremal, both framed in
   same times with the same multiplicities but with positive crossing forms.
 
 Crossings against a reference Lagrangian L0 are located through the n x n
-pairing ``G(t) = L0^T Omega F(t)``: its kernel is the intersection.  The scan
-is one stacked pass over one uniform grid (one SVD and one det call over all
-G).  Sign changes of det G bracket odd-multiplicity crossings; minima of the
-smallest singular value sigma(t) catch even-multiplicity touches.  Crossing
-forms ``omega(F c, F' c)`` are exact (F' from ``Phi' = S Phi`` with the
-Hamiltonian Hessian; on the Jacobi curve the form is ``-c^T H_pp c``), so
-crossings are regular and sigma has a simple zero with the exact slope
-``u^T G'(t) v``: Newton on sigma refines every crossing.  An indicator that
-vanishes along a whole sub-interval signals an abnormal segment and aborts
-(the counting theory assumes ideal structures).
+pairing ``G(t) = L0^T Omega F(t)``: its kernel is the intersection.  A curve
+object may stack R curves that share one parameter (the Jacobi curves of one
+ray batch; a single curve is R = 1), and the scan is one stacked pass over
+one uniform grid: the R x T pairing matrices are checked and decomposed (SVD
+and det) in chunks of whole curves of about ``SCAN_CHUNK`` matrices.  Each
+curve keeps its own scale, checks and candidates.  Sign changes of det G
+bracket odd-multiplicity crossings; minima of the smallest singular value
+sigma(t) catch even-multiplicity touches.  Crossing forms ``omega(F c, F' c)``
+are exact (F' from ``Phi' = S Phi`` with the Hamiltonian Hessian; on the
+Jacobi curve the form is ``-c^T H_pp c``), so crossings are regular and sigma
+has a simple zero with the exact slope ``u^T G'(t) v``: Newton on sigma
+refines every candidate of every curve, all in shared rounds of one batched
+trajectory lookup, one jet evaluation and one stacked SVD and det each.  An
+indicator that vanishes along a whole sub-interval signals an abnormal
+segment and aborts (the counting theory assumes ideal structures).
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from types import SimpleNamespace
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -38,7 +43,7 @@ from .errors import (AmbiguousRankError, CrossingEndpointError,
                      SubriemError, UnresolvedCrossingError,
                      ZeroHamiltonianError)
 from .flow import (ExtremalTrajectory, d_exp, integrate_extremal,
-                   integrate_extremal_batch)
+                   integrate_extremal_batch, lookup)
 from .linalg import RANK_REL_TOL, block_swap, null_space, numerical_rank, omega_px
 from .structure import Structure
 
@@ -50,6 +55,8 @@ SWEEP_CAP = 4000
 NEWTON_STEPS = 50
 #: two crossings closer than this are reported as an unresolved cluster
 CLUSTER_TOL = 1e-8
+#: about this many pairing matrices per chunk of the stacked scan
+SCAN_CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -132,68 +139,83 @@ def intersection_dim(f: LagrangianFrame, g: LagrangianFrame) -> int:
     return 2 * f.n - rank
 
 
-@dataclass
 class JacobiCurveSamples:
-    """A curve of Lagrangian frames along an extremal, plus its sample grid.
+    """R curves of Lagrangian frames, one along each extremal of one batch
+    (one sample grid and one step record), sharing one parameter.
 
     ``kind`` records the orientation: "jacobi" for the backward-transported
     curve in the fixed tangent space at the initial covector, "l" for the
-    forward curve along the extremal.  Frames are read off the trajectory's
+    forward curve along the extremal.  Frames are read off the trajectories'
     fundamental matrices on demand.  ``ts`` is kept for callers; the crossing
     scan does not read it (it scans its own grid of the window).
+
+    The curve protocol of the scan, shared by every curve it accepts: ``rays``
+    is R; ``frames_at(ts, rays=0)`` gives the frames (m, 2n, n) of curve
+    ``rays[i]`` at ``ts[i]``; ``jets_at(ts, rays=0)`` gives those frames with
+    their exact derivatives F'.
     """
 
-    traj: ExtremalTrajectory
-    kind: str
-    ts: np.ndarray
+    def __init__(self, trajs: Sequence[ExtremalTrajectory], kind: str, ts: Sequence[float]):
+        if kind not in ("jacobi", "l"):
+            raise ValueError("kind must be 'jacobi' or 'l'")
+        self.trajs = list(trajs)
+        self.kind = kind
+        self.ts = np.asarray(ts, dtype=float)
 
     @staticmethod
     def sample(struct: Structure, traj: ExtremalTrajectory, kind: str,
                ts: Sequence[float]) -> "JacobiCurveSamples":
-        if kind not in ("jacobi", "l"):
-            raise ValueError("kind must be 'jacobi' or 'l'")
-        return JacobiCurveSamples(traj, kind, np.asarray(ts, dtype=float))
+        """The single curve (R = 1) along ``traj``."""
+        return JacobiCurveSamples([traj], kind, ts)
+
+    @property
+    def traj(self) -> ExtremalTrajectory:
+        return self.trajs[0]
+
+    @property
+    def rays(self) -> int:
+        return len(self.trajs)
 
     def frame_at(self, t: float) -> LagrangianFrame:
         build = jacobi_curve if self.kind == "jacobi" else l_curve
         return build(self.traj.structure, self.traj, t)
 
-    def frames_at(self, ts: np.ndarray) -> np.ndarray:
-        """Frames at every time of ``ts`` as one checked (T, 2n, n) stack."""
-        frames = _curve_frames(self.kind, self.traj.phis_at(ts))
-        _check_lagrangian(frames)
-        return frames
+    def frames_at(self, ts, rays=0) -> np.ndarray:
+        return _curve_frames(self.kind, lookup(self.trajs, rays, ts)[1])
 
-    def jet_at(self, t: float) -> tuple[np.ndarray, np.ndarray]:
-        """Frame F(t) and its exact derivative F'(t), from one trajectory
-        lookup: Phi' = S Phi with S = J Hess H(lambda(t)) (here in (p, x)
-        order), so the Jacobi curve moves as -Phi^{-1} S [I; 0] and the
-        forward curve as S Phi [I; 0]."""
-        state, phi = self.traj.at(t)
+    def jets_at(self, ts, rays=0) -> tuple[np.ndarray, np.ndarray]:
+        """Frames F and exact derivatives F' (m, 2n, n), from one batched
+        trajectory lookup and one jet evaluation of all rows: Phi' = S Phi with
+        S = J Hess H(lambda(t)) (here in (p, x) order), so the Jacobi curve
+        moves as -Phi^{-1} S [I; 0] and the forward curve as S Phi [I; 0]."""
+        states, phis = lookup(self.trajs, rays, ts)
         n = self.traj.n
-        _, _, hess = self.traj.structure.jet_raw_batch(state[None])
-        s_px = block_swap(omega_px(n) @ hess[0])
-        frame = _curve_frames(self.kind, phi)
+        _, _, hess = self.traj.structure.jet_raw_batch(states)
+        s_px = block_swap(omega_px(n) @ hess)
+        frames = _curve_frames(self.kind, phis)
         if self.kind == "jacobi":
-            return frame, -_sympl_inverse(block_swap(phi)) @ s_px[:, :n]
-        return frame, s_px @ frame
+            return frames, -_sympl_inverse(block_swap(phis)) @ s_px[..., :n]
+        return frames, s_px @ frames
 
     def reversed_over(self, r: float, s: float) -> "_ReversedCurve":
-        """The time-reversed curve tau -> frame(r + s - tau) on the same window."""
+        """The time-reversed curves tau -> frame(r + s - tau) on the same window."""
         return _ReversedCurve(self, r + s)
 
 
-@dataclass
 class _ReversedCurve:
-    base: JacobiCurveSamples
-    total: float
+    def __init__(self, base: JacobiCurveSamples, total: float):
+        self.base, self.total = base, total
 
-    def frames_at(self, ts: np.ndarray) -> np.ndarray:
-        return self.base.frames_at(self.total - np.asarray(ts))
+    @property
+    def rays(self) -> int:
+        return self.base.rays
 
-    def jet_at(self, t: float) -> tuple[np.ndarray, np.ndarray]:
-        frame, velocity = self.base.jet_at(self.total - t)
-        return frame, -velocity
+    def frames_at(self, ts, rays=0) -> np.ndarray:
+        return self.base.frames_at(self.total - np.asarray(ts), rays)
+
+    def jets_at(self, ts, rays=0) -> tuple[np.ndarray, np.ndarray]:
+        frames, velocities = self.base.jets_at(self.total - np.asarray(ts), rays)
+        return frames, -velocities
 
 
 def crossing_form(curve, t_star: float, l0: LagrangianFrame,
@@ -205,7 +227,8 @@ def crossing_form(curve, t_star: float, l0: LagrangianFrame,
     does), passing it as ``multiplicity`` selects that many smallest singular
     directions instead of re-running the rank decision.
     """
-    f_star, velocity = curve.jet_at(t_star)
+    frames, velocities = curve.jets_at(np.array([t_star], dtype=float))
+    f_star, velocity = frames[0], velocities[0]
     g_mat = l0.matrix.T @ omega_px(l0.n) @ f_star
     if multiplicity is None:
         coeffs = null_space(g_mat)
@@ -261,45 +284,84 @@ def _scan_grid(r: float, s: float) -> np.ndarray:
     return np.linspace(r, s, max(min(math.ceil((s - r) / SWEEP_STEP), SWEEP_CAP), 257))
 
 
-def _refine(curve, l0: LagrangianFrame, lo: float, hi: float, t: float,
-            det_lo: float | None = None) -> tuple[float, np.ndarray, np.ndarray] | None:
-    """Zero of sigma(t), the smallest singular value of G(t) = L0^T Omega F(t),
-    by Newton from the grid point t of [lo, hi] with the exact slope
-    u^T G'(t) v (u, v the singular vectors of sigma).  With ``det_lo`` (det G
-    changes sign on [lo, hi]) each iterate shrinks the det bracket, and a step
-    that leaves it or fails to halve is replaced by bisection.  In a touch
-    window a step that leaves [lo, hi] means sigma has a minimum but no zero
-    (None); one that fails to halve means Newton stalled (a near miss, or a
-    zero resolved to rounding) and the multiplicity test decides.  Returns
+class _Candidate:
+    """A crossing candidate of one curve under refinement: its scan window
+    (the report's bracket), the det G bracket [lo, hi] or touch window it
+    shrinks, the Newton iterate t, det G at the window's left end when det G
+    changes sign on the window (None in a touch window), the last step length
+    and the steps taken."""
+
+    __slots__ = ("ray", "window", "lo", "hi", "t", "det_lo", "last", "steps")
+
+    def __init__(self, ray: int, lo: float, hi: float, t: float, det_lo: float | None):
+        self.ray, self.window, self.lo, self.hi = ray, (lo, hi), lo, hi
+        self.t, self.det_lo, self.last, self.steps = t, det_lo, math.inf, 0
+
+
+def _refine(curve, pair: np.ndarray, cands: list[_Candidate]) -> list:
+    """Zero of sigma(t), the smallest singular value of G(t) = pair @ F(t), for
+    every candidate, by Newton from its grid point with the exact slope
+    u^T G'(t) v (u, v the singular vectors of sigma).  The candidates of all
+    curves iterate together: each round reads the jets of every unsettled
+    candidate in one ``jets_at`` call and decomposes their pairings in one
+    stacked SVD and det.  With ``det_lo`` (det G changes sign on the window)
+    each iterate shrinks the det bracket, and a step that leaves it or fails
+    to halve is replaced by bisection; a bracket that collapses settles on
+    its midpoint, whose jet the next round reads.  In a touch window a step
+    that leaves the window means sigma has a minimum but no zero (None); one
+    that fails to halve means Newton stalled (a near miss, or a zero resolved
+    to rounding) and the multiplicity test decides.  Returns, per candidate,
     the zero with the curve's jet there (Newton's last one), or None.
     """
-    pair = l0.matrix.T @ omega_px(l0.n)
-    last = math.inf
-    for _ in range(NEWTON_STEPS):
-        frame, velocity = curve.jet_at(t)
-        g_mat = pair @ frame
-        u, svals, vt = np.linalg.svd(g_mat)
-        slope = u[:, -1] @ pair @ velocity @ vt[-1]
-        step = svals[-1] / slope if slope else math.inf
-        tiny = 4 * np.finfo(float).eps * max(1.0, abs(t))
-        if abs(step) <= tiny:
-            return t, frame, velocity
-        if det_lo is None:
-            if not lo <= t - step <= hi:
-                return None
-            if abs(step) > 0.5 * last:
-                return t, frame, velocity
-        else:
-            lo, hi = (t, hi) if (np.linalg.det(g_mat) < 0) == (det_lo < 0) else (lo, t)
-            if hi - lo <= tiny:
-                t = 0.5 * (lo + hi)
-                return (t, *curve.jet_at(t))
-            if not (lo < t - step < hi and abs(step) <= 0.5 * last):
-                step = t - 0.5 * (lo + hi)
-        last = abs(step)
-        t -= step
-    raise UnresolvedCrossingError(
-        f"Newton refinement on [{lo}, {hi}] did not settle in {NEWTON_STEPS} steps")
+    hits: list = [None] * len(cands)
+    todo, settling = list(range(len(cands))), set()
+    while todo:
+        frames, velocities = curve.jets_at(np.array([cands[i].t for i in todo]),
+                                           np.array([cands[i].ray for i in todo]))
+        g_mats = pair @ frames
+        u, svals, vt = np.linalg.svd(g_mats)
+        slopes = (u[:, None, :, -1] @ pair @ velocities @ vt[:, -1, :, None])[:, 0, 0]
+        dets = np.linalg.det(g_mats)
+        pending = []
+        for k, i in enumerate(todo):
+            cand, t = cands[i], cands[i].t
+            hit = (t, frames[k], velocities[k])
+            if i in settling:
+                hits[i] = hit
+                continue
+            step = svals[k, -1] / slopes[k] if slopes[k] else math.inf
+            tiny = 4 * np.finfo(float).eps * max(1.0, abs(t))
+            if abs(step) <= tiny:
+                hits[i] = hit
+                continue
+            if cand.det_lo is None:
+                if not cand.lo <= t - step <= cand.hi:
+                    continue
+                if abs(step) > 0.5 * cand.last:
+                    hits[i] = hit
+                    continue
+            else:
+                if (dets[k] < 0) == (cand.det_lo < 0):
+                    cand.lo = t
+                else:
+                    cand.hi = t
+                if cand.hi - cand.lo <= tiny:
+                    cand.t = 0.5 * (cand.lo + cand.hi)
+                    settling.add(i)
+                    pending.append(i)
+                    continue
+                if not (cand.lo < t - step < cand.hi and abs(step) <= 0.5 * cand.last):
+                    step = t - 0.5 * (cand.lo + cand.hi)
+            cand.steps += 1
+            if cand.steps == NEWTON_STEPS:
+                raise UnresolvedCrossingError(
+                    f"Newton refinement on [{cand.lo}, {cand.hi}] did not settle "
+                    f"in {NEWTON_STEPS} steps")
+            cand.last = abs(step)
+            cand.t = t - step
+            pending.append(i)
+        todo = pending
+    return hits
 
 
 def _multiplicity(g_mat: np.ndarray, t_star: float, scale: float) -> int:
@@ -315,20 +377,13 @@ def _multiplicity(g_mat: np.ndarray, t_star: float, scale: float) -> int:
     return int(np.count_nonzero(small))
 
 
-def locate_crossings(curve, l0: LagrangianFrame, r: float, s: float) -> list[CrossingReport]:
-    """All crossings of the curve with l0 in (r, s), refined and classified.
-
-    Raises :class:`CrossingEndpointError` when an endpoint itself is a
-    crossing and :class:`NonIdealStructureError` when the indicator vanishes
-    identically on a sub-interval (abnormal segment).
-    """
-    grid = _scan_grid(r, s)
-    pair = l0.matrix.T @ omega_px(l0.n)
-    g_mats = pair @ curve.frames_at(grid)
-    svals = np.linalg.svd(g_mats, compute_uv=False)
-    dets = np.linalg.det(g_mats)
-    scale = max(float(svals[:, 0].max()), 1e-300)
-    ratios = svals[:, -1] / scale
+def _scan_candidates(grid: np.ndarray, ratios: np.ndarray,
+                     dets: np.ndarray) -> list[tuple[int, int, int, bool]]:
+    """Crossing candidates of one curve from its indicator ``ratios`` (sigma
+    over the curve's scan-wide scale) and det G on the grid, as grid indices
+    (lo, hi, start, flip): the window [lo, hi], the grid point Newton starts
+    from, and whether det G changes sign.  Raises on an abnormal segment and
+    on an endpoint crossing."""
     near_zero = ratios < 10 * RANK_REL_TOL
     negative = dets < 0
 
@@ -342,8 +397,6 @@ def locate_crossings(curve, l0: LagrangianFrame, r: float, s: float) -> list[Cro
         if near_zero[idx]:
             raise CrossingEndpointError(f"{label} endpoint t = {grid[idx]} is a crossing")
 
-    # candidates (lo, hi, start, flip) as grid indices: the window [lo, hi],
-    # the grid point Newton starts from, and whether det G changes sign
     candidates: list[tuple[int, int, int, bool]] = []
     consumed = np.zeros(len(grid) - 1, dtype=bool)   # cell i is [grid[i], grid[i + 1]]
 
@@ -370,32 +423,86 @@ def locate_crossings(curve, l0: LagrangianFrame, r: float, s: float) -> list[Cro
             continue
         consumed[i - 1:i + 1] = True
         candidates.append((i - 1, i + 1, i, False))
+    return candidates
 
-    crossings: list[tuple[float, np.ndarray, np.ndarray, float, float]] = []
-    for lo, hi, start, flip in candidates:
-        hit = _refine(curve, l0, grid[lo], grid[hi], grid[start],
-                      dets[lo] if flip else None)
+
+def _indicators(curve, pair: np.ndarray, grid: np.ndarray,
+                rays: range) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Largest and smallest singular value and det of G = pair @ F on the grid
+    for the given curves, each (len(rays), T), from one checked stack of
+    frames (only these small arrays outlive the call)."""
+    shape = (len(rays), len(grid))
+    frames = curve.frames_at(np.tile(grid, len(rays)), np.repeat(rays, len(grid)))
+    _check_lagrangian(frames)
+    g_mats = pair @ frames
+    svals = np.linalg.svd(g_mats, compute_uv=False)
+    return (svals[:, 0].reshape(shape), svals[:, -1].reshape(shape),
+            np.linalg.det(g_mats).reshape(shape))
+
+
+def _locate_all(curve, l0: LagrangianFrame, r: float, s: float) -> list[list[CrossingReport]]:
+    """All crossings with l0 in (r, s) of each of the curve's R curves,
+    refined and classified: one list per curve.
+
+    One stacked pass: the R x T pairing matrices G = L0^T Omega F of the scan
+    grid are checked and decomposed (SVD and det) in chunks of whole curves of
+    about SCAN_CHUNK matrices.  Each curve keeps its own scan-wide scale,
+    abnormal-segment check, endpoint check and candidates; the candidates of
+    all curves are refined together by ``_refine``.  The first failure met
+    is raised: a scan check in curve order, then a refinement.
+    """
+    grid = _scan_grid(r, s)
+    pair = l0.matrix.T @ omega_px(l0.n)
+    per_chunk = max(1, SCAN_CHUNK // len(grid))
+    cands: list[_Candidate] = []
+    scales = []
+    for first in range(0, curve.rays, per_chunk):
+        rays = range(first, min(first + per_chunk, curve.rays))
+        for ray, sv_max, sv_min, det in zip(rays, *_indicators(curve, pair, grid, rays)):
+            scale = max(float(sv_max.max()), 1e-300)
+            scales.append(scale)
+            cands += [_Candidate(ray, grid[lo], grid[hi], grid[start],
+                                 det[lo] if flip else None)
+                      for lo, hi, start, flip in _scan_candidates(grid, sv_min / scale, det)]
+
+    found: list[list] = [[] for _ in range(curve.rays)]
+    for cand, hit in zip(cands, _refine(curve, pair, cands)):
         if hit is not None:
-            crossings.append((*hit, grid[lo], grid[hi]))
-
-    crossings.sort(key=lambda c: c[0])
-    times = [c[0] for c in crossings]
-    for t1, t2 in zip(times, times[1:]):
-        if t2 - t1 < CLUSTER_TOL:
-            raise UnresolvedCrossingError(
-                f"crossings at {t1} and {t2} are closer than {CLUSTER_TOL}")
+            found[cand.ray].append((*hit, cand.window))
 
     reports = []
-    for t_star, frame, velocity, lo, hi in crossings:
-        _check_lagrangian(frame[None])
-        mult = _multiplicity(pair @ frame, t_star, scale)
-        if mult == 0:
-            continue
-        # the form reads the jet Newton already has at t*, not the trajectory
-        pinned = SimpleNamespace(jet_at=lambda _: (frame, velocity))
-        form = crossing_form(pinned, t_star, l0, multiplicity=mult)
-        reports.append(CrossingReport(t_star, mult, form_signature(form), (lo, hi)))
+    for scale, crossings in zip(scales, found):
+        crossings.sort(key=lambda c: c[0])
+        times = [c[0] for c in crossings]
+        for t1, t2 in zip(times, times[1:]):
+            if t2 - t1 < CLUSTER_TOL:
+                raise UnresolvedCrossingError(
+                    f"crossings at {t1} and {t2} are closer than {CLUSTER_TOL}")
+        ray_reports = []
+        for t_star, frame, velocity, bracket in crossings:
+            _check_lagrangian(frame[None])
+            mult = _multiplicity(pair @ frame, t_star, scale)
+            if mult == 0:
+                continue
+            # the form reads the jet Newton already has at t*, not the trajectory
+            pinned = SimpleNamespace(jets_at=lambda *_: (frame[None], velocity[None]))
+            form = crossing_form(pinned, t_star, l0, multiplicity=mult)
+            ray_reports.append(CrossingReport(t_star, mult, form_signature(form), bracket))
+        reports.append(ray_reports)
     return reports
+
+
+def locate_crossings(curve, l0: LagrangianFrame, r: float, s: float) -> list[CrossingReport]:
+    """All crossings of a single curve (R = 1) with l0 in (r, s), refined and
+    classified.
+
+    Raises :class:`CrossingEndpointError` when an endpoint itself is a
+    crossing and :class:`NonIdealStructureError` when the indicator vanishes
+    identically on a sub-interval (abnormal segment).
+    """
+    if curve.rays != 1:
+        raise ValueError(f"locate_crossings scans one curve, got {curve.rays}")
+    return _locate_all(curve, l0, r, s)[0]
 
 
 def maslov_index(curve, l0: LagrangianFrame, r: float, s: float) -> int:
@@ -407,18 +514,15 @@ def maslov_index(curve, l0: LagrangianFrame, r: float, s: float) -> int:
     return sum(rep.signature for rep in locate_crossings(curve, l0, r, s))
 
 
-def _scan_ray(struct: Structure, traj: ExtremalTrajectory, r: float,
-              s: float) -> list[CrossingReport]:
-    """Crossings of the ray's Jacobi curve with the vertical in (r, s); the
-    Maslov count (-index = total multiplicity) is asserted."""
-    curve = JacobiCurveSamples.sample(struct, traj, "jacobi", traj.ts)
-    reports = locate_crossings(curve, vertical_frame(struct.n), r, s)
+def _maslov_count(reports: list[CrossingReport]) -> tuple[int, int]:
+    """Total multiplicity and Maslov index of one Jacobi curve's crossings
+    with the vertical; the count -index = total multiplicity is asserted."""
     index = sum(rep.signature for rep in reports)
     total = sum(rep.multiplicity for rep in reports)
     if -index != total:
         raise SubriemError(
             f"Maslov count inconsistent: index {index}, total multiplicity {total}")
-    return reports
+    return total, index
 
 
 def count_conjugate_on_ray(struct: Structure, point, covector, r: float,
@@ -437,11 +541,13 @@ def count_conjugate_on_ray(struct: Structure, point, covector, r: float,
         raise ZeroHamiltonianError("conjugate analysis requires H(lambda0) != 0")
     traj = integrate_extremal(struct, point, covector, s_end, tol,
                               samples=_scan_grid(r, s_end))
-    return _scan_ray(struct, traj, r, s_end)
+    curve = JacobiCurveSamples.sample(struct, traj, "jacobi", traj.ts)
+    reports = locate_crossings(curve, vertical_frame(struct.n), r, s_end)
+    _maslov_count(reports)
+    return reports
 
 
-@dataclass(frozen=True)
-class ContinuityReport:
+class ContinuityReport(NamedTuple):
     """Per-ray conjugate counts in a window around a conjugate covector."""
 
     kernel_dim: int
@@ -461,11 +567,16 @@ def continuity_check(struct: Structure, point, covector, delta_ray: float = 1e-2
     covector; each must carry exactly the kernel dimension of the center.
 
     Rays are sampled in a ball of radius ``delta_ray * |lambda0| / 4`` around
-    the covector and scanned over the window [1 - delta_ray, 1 + delta_ray]
-    (covering the bundle of rays joining the two endpoint balls of the
-    construction).  Endpoint certification failures propagate as
+    the covector (``n_rays >= 1``, ``0 < delta_ray < 1``), integrated as one
+    batch and scanned over the window [1 - delta_ray, 1 + delta_ray] in one
+    stacked pass (covering the bundle of rays joining the two endpoint balls
+    of the construction).  Endpoint certification failures propagate as
     :class:`CrossingEndpointError`.
     """
+    if n_rays < 1:
+        raise ValueError(f"need n_rays >= 1, got {n_rays}")
+    if not 0 < delta_ray < 1:
+        raise ValueError(f"need 0 < delta_ray < 1, got {delta_ray}")
     point = np.asarray(point, dtype=float)
     covector = np.asarray(covector, dtype=float)
     if struct.hamiltonian_raw(point, covector) <= 1e-30:
@@ -482,11 +593,8 @@ def continuity_check(struct: Structure, point, covector, delta_ray: float = 1e-2
 
     r, s = 1.0 - delta_ray, 1.0 + delta_ray
     trajs = integrate_extremal_batch(struct, point, rays, s, tol, samples=_scan_grid(r, s))
-
-    totals = np.zeros(n_rays, dtype=int)
-    indices = np.zeros(n_rays, dtype=int)
-    for i, traj in enumerate(trajs):
-        reports = _scan_ray(struct, traj, r, s)
-        totals[i] = sum(rep.multiplicity for rep in reports)
-        indices[i] = sum(rep.signature for rep in reports)
+    curve = JacobiCurveSamples(trajs, "jacobi", trajs[0].ts)
+    counts = [_maslov_count(reports)
+              for reports in _locate_all(curve, vertical_frame(struct.n), r, s)]
+    totals, indices = (np.array(col, dtype=int) for col in zip(*counts))
     return ContinuityReport(kernel_dim, rays, totals, indices)

@@ -16,7 +16,7 @@ its documented bound, so callers can print one margin line per check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,8 +33,7 @@ SUITES = ("r1", "r2", "r3", "oracle")
 CONJUGATE_COVECTORS = ((1.0, 0.0, 2 * math.pi), (1.0, 0.0, heis.ALPHA_STAR))
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     value: float
     bound: float

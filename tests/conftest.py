@@ -57,18 +57,20 @@ class ReparametrizedCurve:
 
     def __init__(self, curve, r, s):
         self.curve, self.r, self.s = curve, r, s
+        self.rays = curve.rays
 
     @staticmethod
     def phi(ts, r, s):
         u = (np.asarray(ts, dtype=float) - r) / (s - r)
         return r + (s - r) * u * (1 + u) / 2
 
-    def frames_at(self, ts):
-        return self.curve.frames_at(self.phi(ts, self.r, self.s))
+    def frames_at(self, ts, rays=0):
+        return self.curve.frames_at(self.phi(ts, self.r, self.s), rays)
 
-    def jet_at(self, tau):
-        frame, velocity = self.curve.jet_at(float(self.phi(tau, self.r, self.s)))
-        return frame, (0.5 + (tau - self.r) / (self.s - self.r)) * velocity
+    def jets_at(self, taus, rays=0):
+        taus = np.asarray(taus, dtype=float)
+        frames, velocities = self.curve.jets_at(self.phi(taus, self.r, self.s), rays)
+        return frames, (0.5 + (taus - self.r) / (self.s - self.r))[:, None, None] * velocities
 
 
 @pytest.fixture(scope="session")

@@ -164,6 +164,8 @@ def test_integrator_input_validation(heis):
         integrate_extremal_batch(heis, np.zeros(3), np.ones((2, 2)), 1.0)
     with pytest.raises(DimensionMismatchError):
         integrate_extremal_batch(heis, np.zeros((3, 3)), np.ones((2, 3)), 1.0)
+    with pytest.raises(ValueError, match="at least one covector"):
+        integrate_extremal_batch(heis, np.zeros(3), np.empty((0, 3)), 1.0)
 
 
 def test_general_degree_two_structure_flow_invariants(quadratic):
@@ -271,15 +273,19 @@ def test_integration_stats_record(heis, monkeypatch):
 
 
 def test_off_sample_lookups_match_closed_form(heis):
-    cov = (0.7, -0.4, 13.0)
-    traj = integrate_extremal(heis, np.zeros(3), np.array(cov), 1.0, samples=9)
-    hc = HeisCovector((0, 0, 0), cov)
-    ts = np.random.default_rng(6).uniform(0.0, 1.0, 40)
-    phis = traj.phis_at(ts)
-    for t_val, phi_batch in zip(ts, phis):
-        state, phi = traj.at(float(t_val))
+    # single lookups, and one batched lookup of rows spread over two rays
+    covs = np.array([[0.7, -0.4, 13.0], [1.0, 0.3, -9.0]])
+    trajs = integrate_extremal_batch(heis, np.zeros(3), covs, 1.0, samples=9)
+    rng = np.random.default_rng(6)
+    ts = np.concatenate([rng.uniform(0.0, 1.0, 40), trajs[0].ts[[2, 5]]])
+    rays = rng.integers(0, 2, len(ts))
+    states, phis = flow.lookup(trajs, rays, ts)
+    for t_val, ray, state_batch, phi_batch in zip(ts, rays, states, phis):
+        state, phi = trajs[ray].at(float(t_val))
+        hc = HeisCovector((0, 0, 0), tuple(covs[ray]))
         assert np.max(np.abs(state - heis_state(hc, t_val))) <= 1e-11
         assert np.max(np.abs(block_swap(phi) - heis_jacobi_matrix(hc, t_val))) <= 1e-10
+        assert np.max(np.abs(state_batch - state)) <= 1e-13
         assert np.max(np.abs(phi_batch - phi)) <= 1e-13
 
 
@@ -298,7 +304,7 @@ def test_off_sample_lookup_work_is_bounded(heis, monkeypatch):
     rows.clear()
     traj.at(float(traj.ts[3]))
     assert rows == []
-    traj.phis_at(ts)
+    flow.lookup([traj], 0, ts)
     pieces = max(np.count_nonzero((bounds > traj.ts[np.searchsorted(traj.ts, t, side="right") - 1])
                                   & (bounds < t)) + 1 for t in ts)
     assert len(rows) == 12 * pieces and rows[0] == len(ts)

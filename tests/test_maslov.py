@@ -1,20 +1,21 @@
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from subriem import maslov
+from subriem import flow, maslov
 from subriem.errors import (CrossingEndpointError, DegenerateCrossingError,
                             NonIdealStructureError, ZeroHamiltonianError)
-from subriem.flow import ExtremalTrajectory, integrate_extremal
+from subriem.flow import integrate_extremal, integrate_extremal_batch
 from subriem.heisenberg import ALPHA_STAR
 from subriem.maslov import (CrossingReport, JacobiCurveSamples, LagrangianFrame,
                             _scan_grid, continuity_check, count_conjugate_on_ray,
                             crossing_form, form_signature, horizontal_frame,
                             intersection_dim, jacobi_curve, locate_crossings,
                             maslov_index, vertical_frame)
-from subriem.structure import load_structure
+from subriem.structure import Structure, load_structure
 
 TWO_PI = 2 * math.pi
 ENGEL_FILE = Path(__file__).resolve().parents[1] / "bench" / "engel.json"
@@ -154,9 +155,9 @@ def test_velocity_matches_finite_difference_stencil(heis, name):
         curve = JacobiCurveSamples.sample(struct, traj, kind, traj.ts)
         for crv, t_max, times in ((curve, 1.0, (0.0, 0.35, 0.6125, 0.83, 1.0)),
                                   (curve.reversed_over(r, s), r + s, (0.35, 0.6125, 0.83))):
-            for t_star in times:
-                frame, exact = crv.jet_at(t_star)
-                assert np.array_equal(frame, crv.frames_at([t_star])[0])
+            frames, velocities = crv.jets_at(times)
+            assert np.array_equal(frames, crv.frames_at(times))
+            for t_star, exact in zip(times, velocities):
                 approx = _stencil_velocity(crv, t_star, t_max)
                 scale = np.max(np.abs(exact))
                 assert np.max(np.abs(exact - approx)) <= 1e-8 * scale, (kind, t_star)
@@ -189,7 +190,7 @@ def test_curve_derivative_rank_equals_horizontal_rank(heis, traj_2pi):
     curve = JacobiCurveSamples.sample(heis, traj_2pi, "jacobi", traj_2pi.ts)
     om = np.block([[np.zeros((3, 3)), np.eye(3)], [-np.eye(3), np.zeros((3, 3))]])
     for t_star in (0.0, 0.4, 0.9):
-        f_star, velocity = curve.jet_at(t_star)
+        (f_star,), (velocity,) = curve.jets_at([t_star])
         deriv_form = f_star.T @ om @ velocity
         state = traj_2pi.state_at(t_star)
         assert np.allclose(deriv_form, -heis.jet_raw(state[:3], state[3:])[5],
@@ -267,6 +268,8 @@ class _SyntheticCurve:
     nondegenerate crossing form.  With ``gap`` > 0, theta = sqrt((t - 0.5)^2
     + gap): sigma has a minimum of about sqrt(gap) at t = 0.5 but no zero."""
 
+    rays = 1
+
     def __init__(self, gap=0.0):
         self.gap = gap
 
@@ -274,17 +277,18 @@ class _SyntheticCurve:
         d = np.asarray(ts, dtype=float) - 0.5
         return np.sqrt(d * d + self.gap) if self.gap else d
 
-    def frames_at(self, ts):
+    def frames_at(self, ts, rays=0):
         th = self._theta(ts)
         c, s, z = np.cos(th), np.sin(th), np.zeros_like(th)
         return np.stack([np.stack([c, z, s, z], -1), np.stack([z, c, z, -s], -1)], -1)
 
-    def jet_at(self, t):
-        th = float(self._theta(t))
-        dth = (t - 0.5) / th if self.gap else 1.0
-        velocity = dth * np.array([[-math.sin(th), 0.0], [0.0, -math.sin(th)],
-                                   [math.cos(th), 0.0], [0.0, -math.cos(th)]])
-        return self.frames_at([t])[0], velocity
+    def jets_at(self, ts, rays=0):
+        ts = np.asarray(ts, dtype=float)
+        th = self._theta(ts)
+        dth = (ts - 0.5) / th if self.gap else np.ones_like(ts)
+        c, s, z = np.cos(th), np.sin(th), np.zeros_like(th)
+        velocity = np.stack([np.stack([-s, z, c, z], -1), np.stack([z, -s, z, -c], -1)], -1)
+        return self.frames_at(ts), dth[:, None, None] * velocity
 
 
 def test_even_multiplicity_touch_detected_by_sweep():
@@ -312,17 +316,20 @@ class _SteepLine:
     one regular crossing of the vertical, so steep that Newton from the
     nearest grid point of the scan (0.5) overshoots the sign-change cell."""
 
+    rays = 1
+
     def _theta(self, ts):
         return 0.3 * np.tanh(1e4 * (np.asarray(ts, dtype=float) - 0.5002))
 
-    def frames_at(self, ts):
+    def frames_at(self, ts, rays=0):
         th = self._theta(ts)
         return np.stack([np.cos(th), np.sin(th)], -1)[..., None]
 
-    def jet_at(self, t):
-        th = float(self._theta(t))
+    def jets_at(self, ts, rays=0):
+        th = self._theta(ts)
         dth = 3e3 * (1 - (th / 0.3) ** 2)
-        return self.frames_at([t])[0], dth * np.array([[-math.sin(th)], [math.cos(th)]])
+        velocity = np.stack([-np.sin(th), np.cos(th)], -1)[..., None]
+        return self.frames_at(ts), dth[:, None, None] * velocity
 
 
 def test_sign_change_refinement_falls_back_to_bisection():
@@ -335,7 +342,9 @@ def test_sign_change_refinement_falls_back_to_bisection():
 
 
 class _FrozenCurve:
-    def frames_at(self, ts):
+    rays = 1
+
+    def frames_at(self, ts, rays=0):
         return np.broadcast_to(vertical_frame(2).matrix, (len(ts), 4, 2))
 
 
@@ -375,32 +384,32 @@ def test_count_conjugate_three_roots_below_thirteen(heis):
     ("engel", (2.041, -2.556, 1.254, -47.53), 0.3, 0.95),
 ])
 def test_refinement_work_per_crossing(heis, monkeypatch, name, covector, r, s):
-    # every off-grid trajectory lookup replays integrator steps from a sample;
+    # every off-sample trajectory row replays integrator steps from a sample;
     # Newton refinement with the exact slope needs a few per crossing, and the
-    # multiplicity and the crossing form reuse its last lookup
+    # multiplicity and the crossing form reuse its last jet
     struct = heis if name == "heisenberg" else load_structure(str(ENGEL_FILE))
-    lookups = []
-    orig = ExtremalTrajectory.at
+    replayed = []
+    orig = flow._fixed_steps
 
-    def counted(traj, t):
-        lookups.append(traj._locate(t) is None)
-        return orig(traj, t)
+    def counted(rhs, y, *args):
+        replayed.append(len(y))
+        return orig(rhs, y, *args)
 
     refined = []
     orig_refine = maslov._refine
 
     def refine(*args):
-        hit = orig_refine(*args)
-        refined.append(len(lookups))
-        return hit
+        hits = orig_refine(*args)
+        refined.append(sum(replayed))
+        return hits
 
-    monkeypatch.setattr(ExtremalTrajectory, "at", counted)
+    monkeypatch.setattr(flow, "_fixed_steps", counted)
     monkeypatch.setattr(maslov, "_refine", refine)
     reports = count_conjugate_on_ray(struct, np.zeros(struct.n), np.array(covector), r, s)
     assert len(reports) >= 2
     _assert_brackets(reports, r, s)
-    assert sum(lookups) <= 6 * len(reports)
-    assert len(lookups) == refined[-1]   # no lookup after the last refinement
+    assert 0 < sum(replayed) <= 6 * len(reports)
+    assert sum(replayed) == refined[-1]   # no lookup after the last refinement
 
 
 def test_reported_crossings_match_exponential_singularities(heis):
@@ -460,3 +469,100 @@ def test_continuity_near_regular_covector(heis):
     assert report.kernel_dim == 0
     assert np.all(report.ray_totals == 0)
     assert report.passed
+
+
+def test_continuity_rejects_bad_ray_batches(heis):
+    cov = np.array([1.0, 0, TWO_PI])
+    for n_rays in (0, -3):
+        with pytest.raises(ValueError, match="n_rays"):
+            continuity_check(heis, np.zeros(3), cov, n_rays=n_rays)
+    for delta_ray in (0.0, -1e-2, 1.0, 2.0, np.nan):
+        with pytest.raises(ValueError, match="delta_ray"):
+            continuity_check(heis, np.zeros(3), cov, delta_ray=delta_ray)
+
+
+def _ray_bundle(heis, alpha, n_rays, seed, r=0.99, s=1.01):
+    """One batch of rays around (1, 0, alpha), integrated over the scan grid."""
+    rng = np.random.default_rng(seed)
+    cov = np.array([1.0, 0.0, alpha])
+    dirs = rng.normal(size=(n_rays, 3))
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    radii = 2.5e-3 * np.linalg.norm(cov) * rng.uniform(0.2, 1.0, n_rays)
+    return integrate_extremal_batch(heis, np.zeros(3), cov + dirs * radii[:, None], s,
+                                    1e-10, samples=_scan_grid(r, s))
+
+
+@pytest.mark.parametrize("alpha", [TWO_PI, ALPHA_STAR, 3.0], ids=["2pi", "astar", "3"])
+def test_stacked_scan_matches_single_curve_scans(heis, alpha):
+    # 12 rays span four chunks of the stacked pass; each ray's crossings must
+    # be those of its own R = 1 curve
+    r, s = 0.99, 1.01
+    l0 = vertical_frame(3)
+    for seed in (11, 12):
+        trajs = _ray_bundle(heis, alpha, 12, seed, r, s)
+        stacked = maslov._locate_all(JacobiCurveSamples(trajs, "jacobi", trajs[0].ts),
+                                     l0, r, s)
+        assert len(stacked) == len(trajs)
+        for traj, reports in zip(trajs, stacked):
+            single = locate_crossings(JacobiCurveSamples.sample(heis, traj, "jacobi", traj.ts),
+                                      l0, r, s)
+            assert ([(c.multiplicity, c.signature, c.bracket) for c in reports]
+                    == [(c.multiplicity, c.signature, c.bracket) for c in single])
+            assert np.allclose([c.t for c in reports], [c.t for c in single],
+                               rtol=0, atol=1e-13)
+            if alpha != 3.0:
+                assert len(reports) == 1
+
+
+@pytest.mark.parametrize("alpha, max_calls, rows", [(TWO_PI, 51, 1309),
+                                                    (ALPHA_STAR, 27, 1350)],
+                         ids=["2pi", "astar"])
+def test_continuity_jet_calls_bounded(heis, monkeypatch, alpha, max_calls, rows):
+    # after its two integrations (d_exp and the ray batch) a 50-ray check
+    # refines every crossing of every ray in shared Newton rounds: the jet rows
+    # are those of 50 separate scans (1,309 and 1,350 one-row calls), in a
+    # few batched calls per round
+    calls = []
+    integrated = []
+    jet = Structure.jet_raw_batch
+    batch = maslov.integrate_extremal_batch
+
+    def counted_jet(self, z):
+        if integrated:
+            calls.append(len(z))
+        return jet(self, z)
+
+    def counted_batch(*args, **kwargs):
+        trajs = batch(*args, **kwargs)
+        integrated.append(len(trajs))
+        return trajs
+
+    monkeypatch.setattr(Structure, "jet_raw_batch", counted_jet)
+    monkeypatch.setattr(maslov, "integrate_extremal_batch", counted_batch)
+    report = continuity_check(heis, np.zeros(3), np.array([1.0, 0, alpha]), 1e-2, 50,
+                              1e-10, 42)
+    assert report.passed and integrated == [50]
+    assert len(calls) <= max_calls
+    assert sum(calls) == rows
+
+
+def test_stacked_scan_memory_within_its_integration(heis):
+    # the scan decomposes whole rays in chunks of about SCAN_CHUNK pairing
+    # matrices, so its transient memory stays below that of the batch
+    # integration feeding it (both: traced peak above what is live after)
+    def transient(fn):
+        tracemalloc.reset_peak()
+        result = fn()
+        current, peak = tracemalloc.get_traced_memory()
+        return result, peak - current
+
+    tracemalloc.start()
+    try:
+        trajs, integration = transient(lambda: _ray_bundle(heis, TWO_PI, 50, 42))
+        curve = JacobiCurveSamples(trajs, "jacobi", trajs[0].ts)
+        reports, scan = transient(
+            lambda: maslov._locate_all(curve, vertical_frame(3), 0.99, 1.01))
+    finally:
+        tracemalloc.stop()
+    assert [len(rep) for rep in reports] == [1] * 50
+    assert scan <= integration
