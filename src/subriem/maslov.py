@@ -15,16 +15,24 @@ Crossings against a reference Lagrangian L0 are located through the n x n
 pairing ``G(t) = L0^T Omega F(t)``: its kernel is the intersection.  A curve
 object may stack R curves that share one parameter (the Jacobi curves of one
 ray batch; a single curve is R = 1), and the scan is one stacked pass over
-one uniform grid: the R x T pairing matrices are checked and decomposed (SVD
-and det) in chunks of whole curves of about ``SCAN_CHUNK`` matrices.  Each
-curve keeps its own scale, checks and candidates.  Sign changes of det G
-bracket odd-multiplicity crossings; minima of the smallest singular value
-sigma(t) catch even-multiplicity touches.  Crossing forms ``omega(F c, F' c)``
-are exact (F' from ``Phi' = S Phi`` with the Hamiltonian Hessian; on the
-Jacobi curve the form is ``-c^T H_pp c``), so crossings are regular and sigma
-has a simple zero with the exact slope ``u^T G'(t) v``: Newton on sigma
-refines every candidate of every curve, all in shared rounds of one batched
-trajectory lookup, one jet evaluation and one stacked SVD and det each.  An
+one uniform grid: the R x T pairing matrices are decomposed (SVD and det) and
+their frames checked in chunks of whole curves of about ``SCAN_CHUNK``
+matrices.  The pairing SVD certifies most frames' rank on the way: since
+``sigma_min(G) <= |L0^T Omega|_2 sigma_min(F)`` and ``sigma_max(F) <= |F|_F``,
+a frame with ``sigma_min(G) > 2 RANK_REL_TOL |L0^T Omega|_2 |F|_F`` has full
+rank well outside the ambiguity band, and only the others get a rank SVD of
+their own.  Each curve keeps its own scale, checks and candidates.  Sign
+changes of det G bracket odd-multiplicity crossings; minima of the smallest
+singular value sigma(t) catch even-multiplicity touches.  Crossing forms
+``omega(F c, F' c)`` are exact (F' from ``Phi' = S Phi`` with the Hamiltonian
+Hessian; on the Jacobi curve the form is ``-c^T H_pp c``), so crossings are
+regular and sigma has a simple zero with the exact slope ``u^T G'(t) v``:
+Newton on sigma refines every candidate of every curve, all in shared rounds
+of one batched trajectory lookup, one jet evaluation and one stacked SVD and
+det each.  Newton's last SVD of G(t*) then classifies the crossing: its
+singular values give the multiplicity and its right singular vectors the
+kernel coefficients c of the crossing form; the frames of all crossings are
+checked, and their forms built and signed, in a few stacked calls.  An
 indicator that vanishes along a whole sub-interval signals an abnormal
 segment and aborts (the counting theory assumes ideal structures).
 """
@@ -33,7 +41,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from types import SimpleNamespace
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -44,7 +51,8 @@ from .errors import (AmbiguousRankError, CrossingEndpointError,
                      ZeroHamiltonianError)
 from .flow import (ExtremalTrajectory, d_exp, integrate_extremal,
                    integrate_extremal_batch, lookup)
-from .linalg import RANK_REL_TOL, block_swap, null_space, numerical_rank, omega_px
+from .linalg import (RANK_GAP_FACTOR, RANK_REL_TOL, block_swap, null_space,
+                     numerical_rank, omega_px)
 from .structure import Structure
 
 #: step of the scan grid (until a window reaches SWEEP_CAP points)
@@ -57,6 +65,9 @@ NEWTON_STEPS = 50
 CLUSTER_TOL = 1e-8
 #: about this many pairing matrices per chunk of the stacked scan
 SCAN_CHUNK = 1024
+#: a frame whose pairing has sigma_min above this many times RANK_REL_TOL
+#: |L0^T Omega|_2 |F|_F needs no rank SVD of its own (see ``_check_lagrangian``)
+CERTIFICATE_MARGIN = 2.0
 
 
 @dataclass(frozen=True)
@@ -80,20 +91,45 @@ class LagrangianFrame:
         return float(np.max(np.abs(self.matrix.T @ omega_px(self.n) @ self.matrix)))
 
 
-def _check_lagrangian(mats: np.ndarray) -> None:
-    """Require every 2n x n matrix of the (T, 2n, n) stack to have rank n
-    (the ``numerical_rank`` threshold and ambiguity band) and isotropic
-    columns (defect at most 1e-9 of the squared norm)."""
-    svals = np.linalg.svd(mats, compute_uv=False)
-    deficient = np.flatnonzero(~(svals[:, -1] > RANK_REL_TOL * svals[:, 0]))
-    if len(deficient):
-        numerical_rank(mats[deficient[0]])  # raises inside the ambiguity band
-        raise ValueError("frame columns do not span an n-dimensional space")
+def _lagrangian_defects(mats: np.ndarray, certified: np.ndarray | None = None
+                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Masks of the 2n x n matrices of a (T, 2n, n) stack that fail the rank
+    test (``sigma_min <= RANK_REL_TOL sigma_max``) and the isotropy test
+    (defect above 1e-9 of the squared norm), with the isotropy defects.
+    Frames in the ``certified`` mask are known to pass the rank test and get
+    no SVD."""
+    rank_bad = np.zeros(len(mats), dtype=bool)
+    todo = np.arange(len(mats)) if certified is None else np.flatnonzero(~certified)
+    if len(todo):
+        svals = np.linalg.svd(mats[todo], compute_uv=False)
+        rank_bad[todo] = ~(svals[:, -1] > RANK_REL_TOL * svals[:, 0])
     defect = np.max(np.abs(np.swapaxes(mats, 1, 2) @ omega_px(mats.shape[2]) @ mats),
                     axis=(1, 2))
-    bad = np.flatnonzero(defect > 1e-9 * np.sum(mats * mats, axis=(1, 2)))
-    if len(bad):
-        raise ValueError(f"frame is not isotropic (defect {defect[bad[0]]:.3e})")
+    return rank_bad, defect > 1e-9 * np.sum(mats * mats, axis=(1, 2)), defect
+
+
+def _check_lagrangian(mats: np.ndarray, certified: np.ndarray | None = None) -> None:
+    """Require every 2n x n matrix of the (T, 2n, n) stack to have rank n
+    (the ``numerical_rank`` threshold and ambiguity band) and isotropic
+    columns (defect at most 1e-9 of the squared norm); a rank failure
+    anywhere in the stack is raised before an isotropy failure.
+
+    The scan passes the ``certified`` mask of frames whose rank its pairing
+    SVD has already settled: for G = P F and every unit vector v,
+    ``|G v| <= |P|_2 |F v|``, so ``sigma_min(F) >= sigma_min(G) / |P|_2``, and
+    ``sigma_max(F) <= |F|_F``.  A frame with ``sigma_min(G) > 2 RANK_REL_TOL
+    |P|_2 |F|_F`` therefore has ``sigma_min(F) > 2 RANK_REL_TOL sigma_max(F)``:
+    full rank, and a factor 2 clear of the threshold, far more than the
+    rounding of either SVD can move, so its own SVD could not refuse it and
+    is skipped.  Only the rank test is skipped; every frame is tested for
+    isotropy.
+    """
+    rank_bad, iso_bad, defect = _lagrangian_defects(mats, certified)
+    if rank_bad.any():
+        numerical_rank(mats[np.argmax(rank_bad)])  # raises inside the ambiguity band
+        raise ValueError("frame columns do not span an n-dimensional space")
+    if iso_bad.any():
+        raise ValueError(f"frame is not isotropic (defect {defect[np.argmax(iso_bad)]:.3e})")
 
 
 def vertical_frame(n: int) -> LagrangianFrame:
@@ -218,39 +254,48 @@ class _ReversedCurve:
         return frames, -velocities
 
 
-def crossing_form(curve, t_star: float, l0: LagrangianFrame,
-                  multiplicity: int | None = None) -> np.ndarray:
+def crossing_form(curve, t_star: float, l0: LagrangianFrame) -> np.ndarray:
     """Quadratic form omega(z, zdot) on the intersection of the curve with l0
     at t_star, as the symmetric k x k matrix ``c^T F^T Omega F' c`` over the
-    intersection coefficients c, with the curve's exact derivative F'.
-    When the caller has already decided the intersection dimension (the scan
-    does), passing it as ``multiplicity`` selects that many smallest singular
-    directions instead of re-running the rank decision.
+    intersection coefficients c (the kernel of the pairing, by the
+    ``numerical_rank`` decision), with the curve's exact derivative F'.
     """
     frames, velocities = curve.jets_at(np.array([t_star], dtype=float))
     f_star, velocity = frames[0], velocities[0]
-    g_mat = l0.matrix.T @ omega_px(l0.n) @ f_star
-    if multiplicity is None:
-        coeffs = null_space(g_mat)
-    else:
-        _, _, vt = np.linalg.svd(g_mat)
-        coeffs = vt[l0.n - multiplicity:].T.copy()
+    coeffs = null_space(l0.matrix.T @ omega_px(l0.n) @ f_star)
     if coeffs.shape[1] == 0:
         raise ValueError(f"curve does not meet the reference Lagrangian at t = {t_star}")
-    form = coeffs.T @ (f_star.T @ omega_px(l0.n) @ velocity) @ coeffs
-    return 0.5 * (form + form.T)
+    return _kernel_forms(coeffs[None], f_star[None], velocity[None])[0]
+
+
+def _kernel_forms(coeffs: np.ndarray, frames: np.ndarray,
+                  velocities: np.ndarray) -> np.ndarray:
+    """Symmetric crossing forms ``c^T F^T Omega F' c`` (m, k, k) from kernel
+    coefficients (m, n, k), frames and their derivatives (m, 2n, n)."""
+    forms = (np.swapaxes(coeffs, 1, 2)
+             @ (np.swapaxes(frames, 1, 2) @ omega_px(frames.shape[2]) @ velocities)
+             @ coeffs)
+    return 0.5 * (forms + np.swapaxes(forms, 1, 2))
+
+
+def _signatures(forms: np.ndarray, rel_tol: float = 1e-6) -> tuple[np.ndarray, np.ndarray]:
+    """Signatures of a stack (m, k, k) of symmetric forms, from one stacked
+    eigvalsh, and the mask of the forms with an eigenvalue inside the
+    degeneracy band (|eig| <= rel_tol max |eig|), which must not be signed."""
+    eigs = np.linalg.eigvalsh(forms)
+    scale = np.maximum(np.max(np.abs(eigs), axis=1), 1e-300)
+    degenerate = np.any(np.abs(eigs) <= rel_tol * scale[:, None], axis=1)
+    return np.sum(eigs > 0, axis=1) - np.sum(eigs < 0, axis=1), degenerate
 
 
 def form_signature(form: np.ndarray, rel_tol: float = 1e-6) -> int:
     """Signature (positive minus negative eigenvalue count) of a symmetric form;
     refuses to sign eigenvalues inside the degeneracy band."""
-    eigs = np.linalg.eigvalsh(form)
-    scale = max(np.max(np.abs(eigs)), 1e-300)
-    tol = rel_tol * scale
-    if np.any(np.abs(eigs) <= tol):
+    signatures, degenerate = _signatures(np.asarray(form, dtype=float)[None], rel_tol)
+    if degenerate[0]:
         raise DegenerateCrossingError(
-            f"crossing form has a near-zero eigenvalue (eigs {eigs})")
-    return int(np.sum(eigs > 0) - np.sum(eigs < 0))
+            f"crossing form has a near-zero eigenvalue (eigs {np.linalg.eigvalsh(form)})")
+    return int(signatures[0])
 
 
 @dataclass(frozen=True)
@@ -311,7 +356,9 @@ def _refine(curve, pair: np.ndarray, cands: list[_Candidate]) -> list:
     that leaves the window means sigma has a minimum but no zero (None); one
     that fails to halve means Newton stalled (a near miss, or a zero resolved
     to rounding) and the multiplicity test decides.  Returns, per candidate,
-    the zero with the curve's jet there (Newton's last one), or None.
+    None or the zero t* with what Newton's last round has there: the frame,
+    its derivative, and the singular values and right singular vectors (V^T)
+    of G(t*), from which ``_classify`` decides the crossing.
     """
     hits: list = [None] * len(cands)
     todo, settling = list(range(len(cands))), set()
@@ -325,7 +372,7 @@ def _refine(curve, pair: np.ndarray, cands: list[_Candidate]) -> list:
         pending = []
         for k, i in enumerate(todo):
             cand, t = cands[i], cands[i].t
-            hit = (t, frames[k], velocities[k])
+            hit = (t, frames[k], velocities[k], svals[k], vt[k])
             if i in settling:
                 hits[i] = hit
                 continue
@@ -362,19 +409,6 @@ def _refine(curve, pair: np.ndarray, cands: list[_Candidate]) -> list:
             pending.append(i)
         todo = pending
     return hits
-
-
-def _multiplicity(g_mat: np.ndarray, t_star: float, scale: float) -> int:
-    """Kernel dimension of the pairing ``g_mat`` at a refined crossing time,
-    measured against the scan-wide scale of the pairing matrices."""
-    svals = np.linalg.svd(g_mat, compute_uv=False)
-    small = svals < RANK_REL_TOL * scale
-    if np.any(small) and np.any(~small):
-        gap = svals[~small].min() / max(svals[small].max(), 1e-300)
-        if gap < 1e3:
-            raise AmbiguousRankError(
-                f"multiplicity ambiguous at t = {t_star}", singular_values=svals)
-    return int(np.count_nonzero(small))
 
 
 def _scan_candidates(grid: np.ndarray, ratios: np.ndarray,
@@ -426,18 +460,80 @@ def _scan_candidates(grid: np.ndarray, ratios: np.ndarray,
     return candidates
 
 
-def _indicators(curve, pair: np.ndarray, grid: np.ndarray,
+def _indicators(curve, pair: np.ndarray, floor: float, grid: np.ndarray,
                 rays: range) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Largest and smallest singular value and det of G = pair @ F on the grid
     for the given curves, each (len(rays), T), from one checked stack of
-    frames (only these small arrays outlive the call)."""
+    frames (only these small arrays outlive the call).  A frame with
+    sigma_min(G) above ``floor`` times its Frobenius norm is certified to
+    have full rank (see ``_check_lagrangian``)."""
     shape = (len(rays), len(grid))
     frames = curve.frames_at(np.tile(grid, len(rays)), np.repeat(rays, len(grid)))
-    _check_lagrangian(frames)
     g_mats = pair @ frames
     svals = np.linalg.svd(g_mats, compute_uv=False)
+    norms = np.sqrt(np.sum(frames * frames, axis=(1, 2)))
+    _check_lagrangian(frames, certified=svals[:, -1] > floor * norms)
     return (svals[:, 0].reshape(shape), svals[:, -1].reshape(shape),
             np.linalg.det(g_mats).reshape(shape))
+
+
+def _classify(scales: list[float], found: list[list]) -> list[list[CrossingReport]]:
+    """Reports of each curve's refined crossings (each list sorted by time),
+    decided from Newton's last SVD of G(t*) = pair @ F(t*): the multiplicity
+    counts the singular values below RANK_REL_TOL times the curve's scan-wide
+    scale (refused when the gap to the accepted ones is under
+    RANK_GAP_FACTOR), and the crossing form is taken on the right singular
+    vectors of those.  The frames of all crossings are checked in one call,
+    and the forms built and signed in one stacked call per multiplicity.
+    The first failure is raised in order: curves in order; within a curve,
+    the cluster check, then per crossing the frame check, the multiplicity
+    and the signature."""
+    flat = [hit for crossings in found for hit in crossings]
+    if not flat:
+        return [[] for _ in found]
+    frames, velocities, svals, vts = (np.array([hit[j] for hit in flat]) for j in range(1, 5))
+    n = svals.shape[1]
+    limits = RANK_REL_TOL * np.repeat(scales, [len(c) for c in found])
+    mults = np.count_nonzero(svals < limits[:, None], axis=1)
+    # svals descend, so the smallest accepted and largest rejected value sit
+    # on either side of position n - mult
+    split = np.flatnonzero((mults > 0) & (mults < n))
+    ambiguous = np.zeros(len(flat), dtype=bool)
+    ambiguous[split] = (svals[split, n - mults[split] - 1]
+                        < RANK_GAP_FACTOR * np.maximum(svals[split, n - mults[split]], 1e-300))
+    rank_bad, iso_bad, _ = _lagrangian_defects(frames)
+
+    def forms(idx, k):
+        return _kernel_forms(np.swapaxes(vts[idx, n - k:], 1, 2), frames[idx], velocities[idx])
+
+    signatures = np.zeros(len(flat), dtype=int)
+    degenerate = np.zeros(len(flat), dtype=bool)
+    for k in np.unique(mults[mults > 0]):
+        idx = np.flatnonzero(mults == k)
+        signatures[idx], degenerate[idx] = _signatures(forms(idx, k))
+
+    reports, i = [], 0
+    for crossings in found:
+        times = [c[0] for c in crossings]
+        for t1, t2 in zip(times, times[1:]):
+            if t2 - t1 < CLUSTER_TOL:
+                raise UnresolvedCrossingError(
+                    f"crossings at {t1} and {t2} are closer than {CLUSTER_TOL}")
+        ray_reports = []
+        for t_star, *_, bracket in crossings:
+            if rank_bad[i] or iso_bad[i]:
+                _check_lagrangian(frames[i:i + 1])
+            if ambiguous[i]:
+                raise AmbiguousRankError(
+                    f"multiplicity ambiguous at t = {t_star}", singular_values=svals[i])
+            if mults[i]:
+                if degenerate[i]:
+                    form_signature(forms([i], mults[i])[0])   # raises
+                ray_reports.append(CrossingReport(t_star, int(mults[i]), int(signatures[i]),
+                                                  bracket))
+            i += 1
+        reports.append(ray_reports)
+    return reports
 
 
 def _locate_all(curve, l0: LagrangianFrame, r: float, s: float) -> list[list[CrossingReport]]:
@@ -445,20 +541,23 @@ def _locate_all(curve, l0: LagrangianFrame, r: float, s: float) -> list[list[Cro
     refined and classified: one list per curve.
 
     One stacked pass: the R x T pairing matrices G = L0^T Omega F of the scan
-    grid are checked and decomposed (SVD and det) in chunks of whole curves of
-    about SCAN_CHUNK matrices.  Each curve keeps its own scan-wide scale,
-    abnormal-segment check, endpoint check and candidates; the candidates of
-    all curves are refined together by ``_refine``.  The first failure met
-    is raised: a scan check in curve order, then a refinement.
+    grid are decomposed (SVD and det) and their frames checked in chunks of
+    whole curves of about SCAN_CHUNK matrices.  Each curve keeps its own
+    scan-wide scale, abnormal-segment check, endpoint check and candidates;
+    the candidates of all curves are refined together by ``_refine`` and
+    classified together by ``_classify``.  The first failure met is raised:
+    a scan check in curve order, then a refinement, then a classification in
+    curve order.
     """
     grid = _scan_grid(r, s)
     pair = l0.matrix.T @ omega_px(l0.n)
+    floor = CERTIFICATE_MARGIN * RANK_REL_TOL * np.linalg.norm(pair, 2)
     per_chunk = max(1, SCAN_CHUNK // len(grid))
     cands: list[_Candidate] = []
     scales = []
     for first in range(0, curve.rays, per_chunk):
         rays = range(first, min(first + per_chunk, curve.rays))
-        for ray, sv_max, sv_min, det in zip(rays, *_indicators(curve, pair, grid, rays)):
+        for ray, sv_max, sv_min, det in zip(rays, *_indicators(curve, pair, floor, grid, rays)):
             scale = max(float(sv_max.max()), 1e-300)
             scales.append(scale)
             cands += [_Candidate(ray, grid[lo], grid[hi], grid[start],
@@ -469,27 +568,9 @@ def _locate_all(curve, l0: LagrangianFrame, r: float, s: float) -> list[list[Cro
     for cand, hit in zip(cands, _refine(curve, pair, cands)):
         if hit is not None:
             found[cand.ray].append((*hit, cand.window))
-
-    reports = []
-    for scale, crossings in zip(scales, found):
+    for crossings in found:
         crossings.sort(key=lambda c: c[0])
-        times = [c[0] for c in crossings]
-        for t1, t2 in zip(times, times[1:]):
-            if t2 - t1 < CLUSTER_TOL:
-                raise UnresolvedCrossingError(
-                    f"crossings at {t1} and {t2} are closer than {CLUSTER_TOL}")
-        ray_reports = []
-        for t_star, frame, velocity, bracket in crossings:
-            _check_lagrangian(frame[None])
-            mult = _multiplicity(pair @ frame, t_star, scale)
-            if mult == 0:
-                continue
-            # the form reads the jet Newton already has at t*, not the trajectory
-            pinned = SimpleNamespace(jets_at=lambda *_: (frame[None], velocity[None]))
-            form = crossing_form(pinned, t_star, l0, multiplicity=mult)
-            ray_reports.append(CrossingReport(t_star, mult, form_signature(form), bracket))
-        reports.append(ray_reports)
-    return reports
+    return _classify(scales, found)
 
 
 def locate_crossings(curve, l0: LagrangianFrame, r: float, s: float) -> list[CrossingReport]:

@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from subriem import flow, maslov
-from subriem.errors import (CrossingEndpointError, DegenerateCrossingError,
-                            NonIdealStructureError, ZeroHamiltonianError)
+from subriem.errors import (AmbiguousRankError, CrossingEndpointError,
+                            DegenerateCrossingError, NonIdealStructureError,
+                            UnresolvedCrossingError, ZeroHamiltonianError)
 from subriem.flow import integrate_extremal, integrate_extremal_batch
 from subriem.heisenberg import ALPHA_STAR
+from subriem.linalg import RANK_REL_TOL, omega_px
 from subriem.maslov import (CrossingReport, JacobiCurveSamples, LagrangianFrame,
                             _scan_grid, continuity_check, count_conjugate_on_ray,
                             crossing_form, form_signature, horizontal_frame,
@@ -176,7 +178,8 @@ def test_crossing_forms_match_stencil_forms(heis):
     for kind in ("jacobi", "l"):
         curve = JacobiCurveSamples.sample(heis, traj, kind, traj.ts)
         for rep in reports:
-            form = crossing_form(curve, rep.t, l0, multiplicity=1)
+            form = crossing_form(curve, rep.t, l0)
+            assert form.shape == (1, 1)
             f_star = curve.frames_at([rep.t])[0]
             _, _, vt = np.linalg.svd(l0.matrix.T @ om @ f_star)
             c = vt[-1:].T
@@ -351,6 +354,90 @@ class _FrozenCurve:
 def test_identically_singular_indicator_aborts():
     with pytest.raises(NonIdealStructureError):
         locate_crossings(_FrozenCurve(), vertical_frame(2), 0.1, 0.9)
+
+
+class _DefectiveStack:
+    """R curves of frames [D; t D] with D = I (Lagrangian, no crossing with the
+    vertical for t > 0), except that each ray named in ``defects`` has from
+    t = 0.3 on a frame of that kind: "deficient" (D = diag(1, 1, 0)),
+    "ambiguous" (D = diag(1, 1e-6, 5e-9): the rank decision falls in the
+    ambiguity band) or "skew" (0.1 added to the x-block's (0, 1) entry, so
+    the columns are not isotropic)."""
+
+    def __init__(self, rays, defects):
+        self.rays, self.defects = rays, defects
+
+    def frames_at(self, ts, rays=0):
+        ts = np.asarray(ts, dtype=float)
+        rays = np.broadcast_to(rays, ts.shape)
+        diag, skew = np.ones((len(ts), 3)), np.zeros((len(ts), 3, 3))
+        for ray, kind in self.defects.items():
+            bad = (rays == ray) & (ts >= 0.3)
+            if kind == "deficient":
+                diag[bad, 2] = 0.0
+            elif kind == "ambiguous":
+                diag[bad] = (1.0, 1e-6, 5e-9)
+            else:
+                skew[bad, 0, 1] = 0.1
+        d_mat = diag[:, :, None] * np.eye(3)
+        return np.concatenate([d_mat, ts[:, None, None] * d_mat + skew], axis=1)
+
+
+_GRID_REFUSALS = {"deficient": (ValueError, "do not span"),
+                  "ambiguous": (AmbiguousRankError, "rank decision ambiguous"),
+                  "skew": (ValueError, "not isotropic")}
+
+
+@pytest.mark.parametrize("kind", sorted(_GRID_REFUSALS))
+def test_scan_refuses_bad_grid_frames(kind):
+    error, message = _GRID_REFUSALS[kind]
+    assert locate_crossings(_DefectiveStack(1, {}), vertical_frame(3), 0.2, 0.45) == []
+    with pytest.raises(error, match=message) as info:
+        locate_crossings(_DefectiveStack(1, {0: kind}), vertical_frame(3), 0.2, 0.45)
+    assert type(info.value) is error
+    # eight curves on a 257-point grid make chunks of rays 0-2, 3-5 and 6-7:
+    # the bad ray 4 sits behind good curves, and a later ray's other defect
+    # must not be raised first
+    other = "skew" if kind != "skew" else "deficient"
+    curve = _DefectiveStack(8, {4: kind, 6: other})
+    with pytest.raises(error, match=message) as info:
+        maslov._locate_all(curve, vertical_frame(3), 0.2, 0.45)
+    assert type(info.value) is error
+    assert [len(reps) for reps in maslov._locate_all(_DefectiveStack(8, {}), vertical_frame(3),
+                                                     0.2, 0.45)] == [0] * 8
+
+
+def test_rank_certificate_inequalities():
+    # the bounds behind the scan's rank certificate, for G = P F with
+    # P = L0^T Omega: sigma_min(F) >= sigma_min(G) / |P|_2 and
+    # sigma_max(F) <= |F|_F; so sigma_min(G) > 2 RANK_REL_TOL |P|_2 |F|_F
+    # leaves F clear of the rank threshold
+    rng = np.random.default_rng(5)
+    certified = refused = 0
+    for n in (1, 2, 3, 4):
+        sym = rng.normal(size=(n, n))
+        graph, _ = np.linalg.qr(np.vstack([0.5 * (sym + sym.T), np.eye(n)]))
+        for l0 in (vertical_frame(n), horizontal_frame(n), LagrangianFrame(graph)):
+            pair = l0.matrix.T @ omega_px(n)
+            pair_norm = np.linalg.norm(pair, 2)
+            for trial in range(40):
+                u, _ = np.linalg.qr(rng.normal(size=(2 * n, n)))
+                v, _ = np.linalg.qr(rng.normal(size=(n, n)))
+                svals = np.sort(rng.uniform(0.5, 3.0, n))[::-1]
+                if trial % 2:   # near-rank-deficient, down to exactly deficient
+                    svals[-1] = svals[0] * [1e-4, 1e-7, 1e-8, 3e-9, 1e-12, 0.0][trial % 6]
+                frame = (u * svals) @ v.T
+                sv_f = np.linalg.svd(frame, compute_uv=False)
+                sv_g = np.linalg.svd(pair @ frame, compute_uv=False)
+                fro = np.linalg.norm(frame)
+                assert sv_f[0] <= fro * (1 + 1e-14)
+                assert sv_g[-1] <= pair_norm * sv_f[-1] + 1e-14 * pair_norm * fro
+                if sv_g[-1] > maslov.CERTIFICATE_MARGIN * RANK_REL_TOL * pair_norm * fro:
+                    certified += 1
+                    assert sv_f[-1] > 2 * RANK_REL_TOL * sv_f[0]
+                elif sv_f[-1] <= RANK_REL_TOL * sv_f[0]:
+                    refused += 1
+    assert certified > 100 and refused > 30
 
 
 # ---------------------------------------------------------------------------
@@ -544,6 +631,80 @@ def test_continuity_jet_calls_bounded(heis, monkeypatch, alpha, max_calls, rows)
     assert report.passed and integrated == [50]
     assert len(calls) <= max_calls
     assert sum(calls) == rows
+
+
+@pytest.mark.parametrize("alpha, rank_svd_frames", [(TWO_PI, 0), (ALPHA_STAR, 0)],
+                         ids=["2pi", "astar"])
+def test_continuity_scan_decomposes_each_matrix_once(heis, monkeypatch, alpha,
+                                                    rank_svd_frames):
+    # the pairing SVD certifies the rank of the grid frames, so of the 50 x 257
+    # frames of a 50-ray check none needs a rank SVD of its own; and the 50
+    # crossings are classified from Newton's last SVD, in a fixed number of
+    # LAPACK calls: one rank SVD of all crossing frames and one eigvalsh of
+    # all (1 x 1) crossing forms
+    frame_svds, after, scanning, refined = [], [], [], []
+    for name in ("svd", "det", "eigvalsh", "eigh", "eig", "norm", "qr", "solve", "inv"):
+        def counted(a, *args, _name=name, _orig=getattr(np.linalg, name), **kwargs):
+            if refined:
+                after.append(_name)
+            elif scanning and _name == "svd" and np.shape(a)[1:] == (6, 3):
+                frame_svds.append(len(a))
+            return _orig(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    orig_indicators, orig_refine = maslov._indicators, maslov._refine
+
+    def indicators(curve, pair, floor, grid, rays):
+        scanning.append(len(rays) * len(grid))
+        try:
+            return orig_indicators(curve, pair, floor, grid, rays)
+        finally:
+            scanning.pop()
+
+    def refine(*args):
+        hits = orig_refine(*args)
+        refined.append(len(hits))
+        return hits
+
+    monkeypatch.setattr(maslov, "_indicators", indicators)
+    monkeypatch.setattr(maslov, "_refine", refine)
+    report = continuity_check(heis, np.zeros(3), np.array([1.0, 0, alpha]), 1e-2, 50,
+                              1e-10, 42)
+    assert report.passed and refined == [50]
+    assert sum(frame_svds) == rank_svd_frames
+    assert after == ["svd", "eigvalsh"]
+
+
+def test_classification_raises_first_failure_in_curve_order():
+    # hand-made refined crossings of three curves against the vertical (n = 3):
+    # a clean one, one with a degenerate form and one with a bad frame; the
+    # first failure in curve order is raised whatever comes after it
+    pair = vertical_frame(3).matrix.T @ omega_px(3)
+
+    def hit(t, x_diag, velocity_x, frame_fix=None):
+        frame = np.vstack([np.eye(3), np.diag(x_diag)])
+        if frame_fix is not None:
+            frame = frame_fix(frame)
+        velocity = np.vstack([np.zeros((3, 3)), np.diag(velocity_x)])
+        _, svals, vt = np.linalg.svd(pair @ frame)
+        return (t, frame, velocity, svals, vt, (t - 0.01, t + 0.01))
+
+    clean = hit(0.5, (1.0, 2.0, 0.0), (0.0, 0.0, -1.0))
+    flat = hit(0.6, (1.0, 2.0, 0.0), (0.0, 0.0, 0.0))        # zero crossing form
+    skew = hit(0.7, (1.0, 2.0, 0.0), (0.0, 0.0, -1.0),
+               lambda f: f + 0.1 * np.eye(6, 3, -4))          # x-block not symmetric
+    late = hit(0.8, (1.0, 2.0, 0.0), (0.0, 0.0, -1.0))
+    reports = maslov._classify([2.0] * 2, [[clean], [clean, late]])
+    assert [[(c.t, c.multiplicity, c.signature) for c in reps] for reps in reports] == [
+        [(0.5, 1, -1)], [(0.5, 1, -1), (0.8, 1, -1)]]
+    with pytest.raises(DegenerateCrossingError):
+        maslov._classify([2.0] * 3, [[clean], [flat], [skew]])
+    with pytest.raises(ValueError, match="not isotropic"):
+        maslov._classify([2.0] * 3, [[clean], [skew], [flat]])
+    with pytest.raises(UnresolvedCrossingError):
+        maslov._classify([2.0] * 2, [[clean, clean], [skew]])
+    ambiguous = hit(0.65, (1.0, 4e-8, 1e-8), (0.0, 0.0, -1.0))   # scale 2: limit 2e-8
+    with pytest.raises(AmbiguousRankError):
+        maslov._classify([2.0], [[ambiguous, skew]])
 
 
 def test_stacked_scan_memory_within_its_integration(heis):
