@@ -20,8 +20,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError
 from .flow import ExtremalTrajectory
-from .linalg import (block_swap, null_space, numerical_rank, orthonormalize,
-                     range_space)
+from .linalg import block_swap, numerical_rank, rank_split
 from .structure import Structure
 
 
@@ -116,23 +115,30 @@ class DecompositionReport(NamedTuple):
         return float(np.max(np.abs(self.cross_gram))) if self.cross_gram.size else 0.0
 
 
+def _vertical_split(traj: ExtremalTrajectory, t: float
+                    ) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+    """Vertical initial data (w, 0) propagates to x(t) = M3(t) w and
+    p(t) = M1(t) w in the (p, x) splitting.  Returns the rank split of M3
+    (rank, singular values, image basis) and M1 applied to its kernel basis:
+    the derivatives of the fields that vanish at 0 and t."""
+    phi = block_swap(traj.phi_at(t))
+    n = phi.shape[0] // 2
+    rank, svals, image, kernel = rank_split(phi[n:, :n])
+    return rank, svals, image, phi[:n, :n] @ kernel
+
+
 def decomposition(struct: Structure, traj: ExtremalTrajectory, t: float) -> DecompositionReport:
     """Split T_{gamma(t)} M into J(t)-values and grad-J(t)-derivatives.
 
-    Vertical initial data (w, 0) propagates to x(t) = M3(t) w and p(t) = M1(t) w
-    in the (p, x) splitting; the value space is range(M3), the derivative space
-    is M1(ker M3).  Their dimensions must sum to n and the spaces must be
-    mutually orthogonal.
+    The value space is range(M3(t)), the derivative space is M1(ker M3(t))
+    (see ``_vertical_split``).  Their dimensions must sum to n and the spaces
+    must be mutually orthogonal.  Both bases come from the rank rule, so a
+    decision inside its ambiguity band raises :class:`AmbiguousRankError`.
     """
-    phi = block_swap(traj.phi_at(t))
-    n = struct.n
-    m1 = phi[:n, :n]
-    m3 = phi[n:, :n]
-    basis_values = range_space(m3)
-    kernel = null_space(m3)
-    basis_derivatives = orthonormalize(m1 @ kernel) if kernel.shape[1] else kernel
-    cross = basis_values.T @ basis_derivatives
-    return DecompositionReport(t, basis_values, basis_derivatives, cross)
+    _, _, basis_values, derivs = _vertical_split(traj, t)
+    basis_derivatives = rank_split(derivs)[2]
+    return DecompositionReport(t, basis_values, basis_derivatives,
+                               basis_values.T @ basis_derivatives)
 
 
 class RegularityReport(NamedTuple):
@@ -153,17 +159,9 @@ def regularity_check(struct: Structure, traj: ExtremalTrajectory) -> RegularityR
     passes iff these are independent modulo the image, i.e.
     rank([image basis | all grad J_A]) = rank(image) + kernel dim.
     """
-    phi = block_swap(traj.phi_at(1.0))
-    n = struct.n
-    m1 = phi[:n, :n]
-    m3 = phi[n:, :n]
-    rank_img, svals = numerical_rank(m3)
-    kernel = null_space(m3)
-    k = kernel.shape[1]
+    rank_img, svals, image_basis, derivs = _vertical_split(traj, 1.0)
+    k = derivs.shape[1]
     if k == 0:
         return RegularityReport(0, 0, True, svals)
-    image_basis = range_space(m3)
-    derivs = m1 @ kernel
-    rank_total, _ = numerical_rank(np.hstack([image_basis, derivs]))
-    theta_rank = rank_total - rank_img
+    theta_rank = numerical_rank(np.hstack([image_basis, derivs]))[0] - rank_img
     return RegularityReport(k, theta_rank, theta_rank == k, svals)

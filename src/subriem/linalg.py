@@ -10,6 +10,13 @@ Conventions used throughout the package, in one place:
   ``[[0, I], [-I, 0]]``.  Conjugating with the block swap gives
   ``[[0, -I], [I, 0]]`` in ``(q, p)`` order, so Hamilton's equations read
   ``zdot = Omega^{-1} grad H``.
+* Every rank decision (multiplicities, kernels, images, frame ranks) follows
+  one rule, ``rank_decisions``: a singular value counts when it exceeds the
+  limit (``RANK_REL_TOL`` times the largest one, or a caller's scale), and a
+  decision whose smallest accepted value is not ``RANK_GAP_FACTOR`` times the
+  largest rejected one is refused with :class:`AmbiguousRankError`.  Each
+  decided matrix is decomposed once; ``rank_split`` returns its rank,
+  singular values, image and kernel from that one SVD.
 """
 
 from __future__ import annotations
@@ -50,62 +57,46 @@ def symplectic_defect(mat: np.ndarray, omega: np.ndarray) -> float:
     return float(np.max(np.abs(mat.T @ omega @ mat - omega)))
 
 
-def numerical_rank(mat: np.ndarray, rel_tol: float = RANK_REL_TOL,
-                   gap: float = RANK_GAP_FACTOR) -> tuple[int, np.ndarray]:
-    """Rank of ``mat`` by SVD with an explicit ambiguity band.
-
-    Singular values above ``rel_tol * s_max`` are accepted.  When both accepted
-    and rejected values exist, their ratio must exceed ``gap``; otherwise the
-    decision is refused with :class:`AmbiguousRankError` (multiplicities must
-    not be guessed near degeneracy).
-    """
-    if mat.size == 0:
-        return 0, np.zeros(0)
-    svals = np.linalg.svd(mat, compute_uv=False)
-    smax = svals[0]
-    if smax == 0.0:
-        return 0, svals
-    accepted = svals > rel_tol * smax
-    rank = int(np.count_nonzero(accepted))
-    if 0 < rank < len(svals):
-        lo, hi = svals[rank], svals[rank - 1]
-        if lo > 0 and hi / lo < gap:
-            raise AmbiguousRankError(
-                f"rank decision ambiguous: gap {hi / lo:.3e} < {gap:.0e}",
-                singular_values=svals)
-    return rank, svals
+def rank_decisions(svals: np.ndarray, limits: np.ndarray | float
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """The one rank rule, on a stack (..., k) of singular values with one
+    limit per row (...,): the rank counts the values above the limit, and
+    the mask marks the rows whose smallest accepted value is not
+    ``RANK_GAP_FACTOR`` times their largest rejected one (a decision inside
+    the ambiguity band, which must be refused, not guessed).  A row with
+    nothing accepted or nothing rejected is never ambiguous."""
+    accepted = svals > np.asarray(limits)[..., None]
+    smallest_accepted = np.where(accepted, svals, np.inf).min(axis=-1, initial=np.inf)
+    largest_rejected = np.where(accepted, 0.0, svals).max(axis=-1, initial=0.0)
+    return accepted.sum(axis=-1), smallest_accepted < RANK_GAP_FACTOR * largest_rejected
 
 
-def null_space(mat: np.ndarray, rel_tol: float = RANK_REL_TOL,
-               gap: float = RANK_GAP_FACTOR) -> np.ndarray:
-    """Orthonormal basis of the kernel, as columns (may be empty)."""
-    rank, _ = numerical_rank(mat, rel_tol, gap)
-    _, _, vt = np.linalg.svd(mat)
-    return vt[rank:].T.copy()
+def rank_refusal(svals: np.ndarray, rank: int) -> AmbiguousRankError:
+    """The error refusing a rank decision that ``rank_decisions`` marked
+    ambiguous, with the gap it found."""
+    return AmbiguousRankError(
+        f"rank decision ambiguous: gap {svals[rank - 1] / svals[rank]:.3e} "
+        f"< {RANK_GAP_FACTOR:.0e}", singular_values=svals)
 
 
-def range_space(mat: np.ndarray, rel_tol: float = RANK_REL_TOL,
-                gap: float = RANK_GAP_FACTOR) -> np.ndarray:
-    """Orthonormal basis of the column space, as columns."""
-    rank, _ = numerical_rank(mat, rel_tol, gap)
-    u, _, _ = np.linalg.svd(mat)
-    return u[:, :rank].copy()
+def rank_split(mat: np.ndarray) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+    """Numerical rank of ``mat`` (limit ``RANK_REL_TOL * s_max``) from one
+    SVD, with its singular values and orthonormal bases of its image and
+    kernel as columns (either may be empty); raises
+    :class:`AmbiguousRankError` inside the ambiguity band."""
+    u, svals, vt = np.linalg.svd(mat)
+    rank, ambiguous = rank_decisions(svals, RANK_REL_TOL * np.max(svals, initial=0.0))
+    if ambiguous:
+        raise rank_refusal(svals, rank)
+    return int(rank), svals, u[:, :rank], vt[rank:].T
 
 
-def orthonormalize(mat: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of span(columns), dropping numerically null directions."""
-    if mat.size == 0 or mat.shape[1] == 0:
-        return mat.reshape(mat.shape[0], 0)
-    u, svals, _ = np.linalg.svd(mat, full_matrices=False)
-    keep = svals > RANK_REL_TOL * max(svals[0], 1e-300)
-    return u[:, keep]
+def numerical_rank(mat: np.ndarray) -> tuple[int, np.ndarray]:
+    """Rank and singular values of ``mat`` by ``rank_split``."""
+    return rank_split(mat)[:2]
 
 
 def principal_angles(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Principal angles between the column spans of ``a`` and ``b``."""
-    qa = orthonormalize(a)
-    qb = orthonormalize(b)
-    if qa.shape[1] == 0 or qb.shape[1] == 0:
-        return np.zeros(0)
-    sv = np.linalg.svd(qa.T @ qb, compute_uv=False)
+    sv = np.linalg.svd(rank_split(a)[2].T @ rank_split(b)[2], compute_uv=False)
     return np.arccos(np.clip(sv, -1.0, 1.0))

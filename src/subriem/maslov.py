@@ -51,8 +51,8 @@ from .errors import (AmbiguousRankError, CrossingEndpointError,
                      ZeroHamiltonianError)
 from .flow import (ExtremalTrajectory, d_exp, integrate_extremal,
                    integrate_extremal_batch, lookup)
-from .linalg import (RANK_GAP_FACTOR, RANK_REL_TOL, block_swap, null_space,
-                     numerical_rank, omega_px)
+from .linalg import (RANK_REL_TOL, block_swap, numerical_rank, omega_px,
+                     rank_decisions, rank_refusal, rank_split)
 from .structure import Structure
 
 #: step of the scan grid (until a window reaches SWEEP_CAP points)
@@ -68,6 +68,8 @@ SCAN_CHUNK = 1024
 #: a frame whose pairing has sigma_min above this many times RANK_REL_TOL
 #: |L0^T Omega|_2 |F|_F needs no rank SVD of its own (see ``_check_lagrangian``)
 CERTIFICATE_MARGIN = 2.0
+#: a crossing form with an |eigenvalue| at most this times the largest is not signed
+FORM_REL_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -88,31 +90,38 @@ class LagrangianFrame:
         return self.matrix.shape[1]
 
     def isotropy_defect(self) -> float:
-        return float(np.max(np.abs(self.matrix.T @ omega_px(self.n) @ self.matrix)))
+        return float(_lagrangian_defects(self.matrix[None])[0][0])
 
 
 def _lagrangian_defects(mats: np.ndarray, certified: np.ndarray | None = None
-                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Masks of the 2n x n matrices of a (T, 2n, n) stack that fail the rank
-    test (``sigma_min <= RANK_REL_TOL sigma_max``) and the isotropy test
-    (defect above 1e-9 of the squared norm), with the isotropy defects.
-    Frames in the ``certified`` mask are known to pass the rank test and get
-    no SVD."""
-    rank_bad = np.zeros(len(mats), dtype=bool)
+                        ) -> tuple[np.ndarray, dict[int, Exception]]:
+    """Isotropy defects ``max |F^T Omega F|`` of the 2n x n matrices F of a
+    (T, 2n, n) stack, and by stack index the refusal of each F that is no
+    Lagrangian frame: rank below n by the rank rule (relative limit, one
+    stacked SVD; :class:`AmbiguousRankError` inside its band), or else a
+    defect above 1e-9 of the squared norm.  Frames in the ``certified`` mask
+    are known to have rank n and get no SVD."""
+    n = mats.shape[2]
+    defect = np.max(np.abs(np.swapaxes(mats, 1, 2) @ omega_px(n) @ mats), axis=(1, 2))
+    skew = np.flatnonzero(defect > 1e-9 * np.sum(mats * mats, axis=(1, 2)))
+    refusals: dict[int, Exception] = {
+        i: ValueError(f"frame is not isotropic (defect {defect[i]:.3e})") for i in skew.tolist()}
     todo = np.arange(len(mats)) if certified is None else np.flatnonzero(~certified)
     if len(todo):
         svals = np.linalg.svd(mats[todo], compute_uv=False)
-        rank_bad[todo] = ~(svals[:, -1] > RANK_REL_TOL * svals[:, 0])
-    defect = np.max(np.abs(np.swapaxes(mats, 1, 2) @ omega_px(mats.shape[2]) @ mats),
-                    axis=(1, 2))
-    return rank_bad, defect > 1e-9 * np.sum(mats * mats, axis=(1, 2)), defect
+        ranks, ambiguous = rank_decisions(svals, RANK_REL_TOL * svals[:, 0])
+        for j in np.flatnonzero(ranks < n).tolist():
+            refusals[int(todo[j])] = (
+                rank_refusal(svals[j], ranks[j]) if ambiguous[j]
+                else ValueError("frame columns do not span an n-dimensional space"))
+    return defect, refusals
 
 
 def _check_lagrangian(mats: np.ndarray, certified: np.ndarray | None = None) -> None:
     """Require every 2n x n matrix of the (T, 2n, n) stack to have rank n
-    (the ``numerical_rank`` threshold and ambiguity band) and isotropic
-    columns (defect at most 1e-9 of the squared norm); a rank failure
-    anywhere in the stack is raised before an isotropy failure.
+    (the rank rule) and isotropic columns (defect at most 1e-9 of the squared
+    norm); the refusal of the first bad frame in stack order is raised, its
+    rank failure before its isotropy failure.
 
     The scan passes the ``certified`` mask of frames whose rank its pairing
     SVD has already settled: for G = P F and every unit vector v,
@@ -124,12 +133,9 @@ def _check_lagrangian(mats: np.ndarray, certified: np.ndarray | None = None) -> 
     is skipped.  Only the rank test is skipped; every frame is tested for
     isotropy.
     """
-    rank_bad, iso_bad, defect = _lagrangian_defects(mats, certified)
-    if rank_bad.any():
-        numerical_rank(mats[np.argmax(rank_bad)])  # raises inside the ambiguity band
-        raise ValueError("frame columns do not span an n-dimensional space")
-    if iso_bad.any():
-        raise ValueError(f"frame is not isotropic (defect {defect[np.argmax(iso_bad)]:.3e})")
+    refusals = _lagrangian_defects(mats, certified)[1]
+    if refusals:
+        raise refusals[min(refusals)]
 
 
 def vertical_frame(n: int) -> LagrangianFrame:
@@ -170,9 +176,7 @@ def l_curve(struct: Structure, traj: ExtremalTrajectory, t: float) -> Lagrangian
 
 def intersection_dim(f: LagrangianFrame, g: LagrangianFrame) -> int:
     """dim(span F  intersect  span G) = 2n - rank([F | G])."""
-    stacked = np.hstack([f.matrix, g.matrix])
-    rank, _ = numerical_rank(stacked)
-    return 2 * f.n - rank
+    return 2 * f.n - numerical_rank(np.hstack([f.matrix, g.matrix]))[0]
 
 
 class JacobiCurveSamples:
@@ -257,12 +261,12 @@ class _ReversedCurve:
 def crossing_form(curve, t_star: float, l0: LagrangianFrame) -> np.ndarray:
     """Quadratic form omega(z, zdot) on the intersection of the curve with l0
     at t_star, as the symmetric k x k matrix ``c^T F^T Omega F' c`` over the
-    intersection coefficients c (the kernel of the pairing, by the
-    ``numerical_rank`` decision), with the curve's exact derivative F'.
+    intersection coefficients c (the kernel of the pairing, by the rank
+    rule), with the curve's exact derivative F'.
     """
     frames, velocities = curve.jets_at(np.array([t_star], dtype=float))
     f_star, velocity = frames[0], velocities[0]
-    coeffs = null_space(l0.matrix.T @ omega_px(l0.n) @ f_star)
+    coeffs = rank_split(l0.matrix.T @ omega_px(l0.n) @ f_star)[3]
     if coeffs.shape[1] == 0:
         raise ValueError(f"curve does not meet the reference Lagrangian at t = {t_star}")
     return _kernel_forms(coeffs[None], f_star[None], velocity[None])[0]
@@ -278,23 +282,26 @@ def _kernel_forms(coeffs: np.ndarray, frames: np.ndarray,
     return 0.5 * (forms + np.swapaxes(forms, 1, 2))
 
 
-def _signatures(forms: np.ndarray, rel_tol: float = 1e-6) -> tuple[np.ndarray, np.ndarray]:
+def _signatures(forms: np.ndarray) -> tuple[np.ndarray, dict[int, Exception]]:
     """Signatures of a stack (m, k, k) of symmetric forms, from one stacked
-    eigvalsh, and the mask of the forms with an eigenvalue inside the
-    degeneracy band (|eig| <= rel_tol max |eig|), which must not be signed."""
+    eigvalsh, and by stack index the refusal of each form with an eigenvalue
+    inside the degeneracy band (|eig| <= FORM_REL_TOL max |eig|), which must
+    not be signed."""
     eigs = np.linalg.eigvalsh(forms)
     scale = np.maximum(np.max(np.abs(eigs), axis=1), 1e-300)
-    degenerate = np.any(np.abs(eigs) <= rel_tol * scale[:, None], axis=1)
-    return np.sum(eigs > 0, axis=1) - np.sum(eigs < 0, axis=1), degenerate
+    degenerate = np.any(np.abs(eigs) <= FORM_REL_TOL * scale[:, None], axis=1)
+    refusals: dict[int, Exception] = {
+        i: DegenerateCrossingError(f"crossing form has a near-zero eigenvalue (eigs {eigs[i]})")
+        for i in np.flatnonzero(degenerate).tolist()}
+    return np.sum(eigs > 0, axis=1) - np.sum(eigs < 0, axis=1), refusals
 
 
-def form_signature(form: np.ndarray, rel_tol: float = 1e-6) -> int:
+def form_signature(form: np.ndarray) -> int:
     """Signature (positive minus negative eigenvalue count) of a symmetric form;
     refuses to sign eigenvalues inside the degeneracy band."""
-    signatures, degenerate = _signatures(np.asarray(form, dtype=float)[None], rel_tol)
-    if degenerate[0]:
-        raise DegenerateCrossingError(
-            f"crossing form has a near-zero eigenvalue (eigs {np.linalg.eigvalsh(form)})")
+    signatures, refusals = _signatures(np.asarray(form, dtype=float)[None])
+    if refusals:
+        raise refusals[0]
     return int(signatures[0])
 
 
@@ -480,11 +487,11 @@ def _indicators(curve, pair: np.ndarray, floor: float, grid: np.ndarray,
 def _classify(scales: list[float], found: list[list]) -> list[list[CrossingReport]]:
     """Reports of each curve's refined crossings (each list sorted by time),
     decided from Newton's last SVD of G(t*) = pair @ F(t*): the multiplicity
-    counts the singular values below RANK_REL_TOL times the curve's scan-wide
-    scale (refused when the gap to the accepted ones is under
-    RANK_GAP_FACTOR), and the crossing form is taken on the right singular
-    vectors of those.  The frames of all crossings are checked in one call,
-    and the forms built and signed in one stacked call per multiplicity.
+    is n minus its rank by the rank rule, with RANK_REL_TOL times the curve's
+    scan-wide scale as the limit (refused inside the ambiguity band), and the
+    crossing form is taken on the right singular vectors of the rejected
+    values.  The frames of all crossings are checked in one call, and the
+    forms built and signed in one stacked call per multiplicity.
     The first failure is raised in order: curves in order; within a curve,
     the cluster check, then per crossing the frame check, the multiplicity
     and the signature."""
@@ -493,24 +500,23 @@ def _classify(scales: list[float], found: list[list]) -> list[list[CrossingRepor
         return [[] for _ in found]
     frames, velocities, svals, vts = (np.array([hit[j] for hit in flat]) for j in range(1, 5))
     n = svals.shape[1]
-    limits = RANK_REL_TOL * np.repeat(scales, [len(c) for c in found])
-    mults = np.count_nonzero(svals < limits[:, None], axis=1)
-    # svals descend, so the smallest accepted and largest rejected value sit
-    # on either side of position n - mult
-    split = np.flatnonzero((mults > 0) & (mults < n))
-    ambiguous = np.zeros(len(flat), dtype=bool)
-    ambiguous[split] = (svals[split, n - mults[split] - 1]
-                        < RANK_GAP_FACTOR * np.maximum(svals[split, n - mults[split]], 1e-300))
-    rank_bad, iso_bad, _ = _lagrangian_defects(frames)
-
-    def forms(idx, k):
-        return _kernel_forms(np.swapaxes(vts[idx, n - k:], 1, 2), frames[idx], velocities[idx])
-
+    ranks, ambiguous = rank_decisions(
+        svals, RANK_REL_TOL * np.repeat(scales, [len(c) for c in found]))
+    mults = n - ranks
+    frame_refusals = _lagrangian_defects(frames)[1]
+    # each crossing's first refusal: its frame's, else its multiplicity's, else its form's
     signatures = np.zeros(len(flat), dtype=int)
-    degenerate = np.zeros(len(flat), dtype=bool)
+    refusals: dict[int, Exception] = {}
     for k in np.unique(mults[mults > 0]):
         idx = np.flatnonzero(mults == k)
-        signatures[idx], degenerate[idx] = _signatures(forms(idx, k))
+        coeffs = np.swapaxes(vts[idx, n - k:], 1, 2)
+        signatures[idx], degenerate = _signatures(_kernel_forms(coeffs, frames[idx],
+                                                                velocities[idx]))
+        refusals.update((int(idx[j]), error) for j, error in degenerate.items())
+    refusals.update((i, AmbiguousRankError(f"multiplicity ambiguous at t = {flat[i][0]}",
+                                           singular_values=svals[i]))
+                    for i in np.flatnonzero(ambiguous).tolist())
+    refusals.update(frame_refusals)
 
     reports, i = [], 0
     for crossings in found:
@@ -521,14 +527,9 @@ def _classify(scales: list[float], found: list[list]) -> list[list[CrossingRepor
                     f"crossings at {t1} and {t2} are closer than {CLUSTER_TOL}")
         ray_reports = []
         for t_star, *_, bracket in crossings:
-            if rank_bad[i] or iso_bad[i]:
-                _check_lagrangian(frames[i:i + 1])
-            if ambiguous[i]:
-                raise AmbiguousRankError(
-                    f"multiplicity ambiguous at t = {t_star}", singular_values=svals[i])
+            if i in refusals:
+                raise refusals[i]
             if mults[i]:
-                if degenerate[i]:
-                    form_signature(forms([i], mults[i])[0])   # raises
                 ray_reports.append(CrossingReport(t_star, int(mults[i]), int(signatures[i]),
                                                   bracket))
             i += 1

@@ -170,6 +170,28 @@ def test_regularity_at_conjugate_covectors(heis, traj_2pi, traj_astar):
         assert rep.passed
 
 
+@pytest.mark.parametrize("check", [
+    regularity_check,
+    lambda struct, traj: decomposition(struct, traj, 1.0),
+    lambda struct, traj: decomposition(struct, traj, 0.5),
+], ids=["regularity", "decomposition-conjugate", "decomposition-regular"])
+@pytest.mark.parametrize("traj_name", ["traj_2pi", "traj_astar"])
+def test_rank_checks_decompose_each_matrix_once(heis, request, monkeypatch, check, traj_name):
+    # one SVD of M3(t) gives its rank, image and kernel; the only other one
+    # decides the rank of [image | M1 kernel] (regularity) or the basis of
+    # M1 kernel (decomposition)
+    traj = request.getfixturevalue(traj_name)
+    calls = []
+
+    def counted(a, *args, _orig=np.linalg.svd, **kwargs):
+        calls.append(np.shape(a))
+        return _orig(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    check(heis, traj)
+    assert 0 < len(calls) <= 2
+
+
 def test_frame_ode_reproduces_propagation(heis, traj_2pi):
     # independent path: scipy integration of the linear frame system
     def rhs(t, y):

@@ -396,13 +396,13 @@ def test_scan_refuses_bad_grid_frames(kind):
         locate_crossings(_DefectiveStack(1, {0: kind}), vertical_frame(3), 0.2, 0.45)
     assert type(info.value) is error
     # eight curves on a 257-point grid make chunks of rays 0-2, 3-5 and 6-7:
-    # the bad ray 4 sits behind good curves, and a later ray's other defect
-    # must not be raised first
+    # the bad ray sits behind good curves, and the other defect of a later
+    # ray, in the next chunk or in the same one, must not be raised first
     other = "skew" if kind != "skew" else "deficient"
-    curve = _DefectiveStack(8, {4: kind, 6: other})
-    with pytest.raises(error, match=message) as info:
-        maslov._locate_all(curve, vertical_frame(3), 0.2, 0.45)
-    assert type(info.value) is error
+    for defects in ({4: kind, 6: other}, {3: kind, 4: other}):
+        with pytest.raises(error, match=message) as info:
+            maslov._locate_all(_DefectiveStack(8, defects), vertical_frame(3), 0.2, 0.45)
+        assert type(info.value) is error
     assert [len(reps) for reps in maslov._locate_all(_DefectiveStack(8, {}), vertical_frame(3),
                                                      0.2, 0.45)] == [0] * 8
 
