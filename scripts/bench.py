@@ -10,11 +10,16 @@ parent first on even pairs and the change first on odd ones, so slow drift of
 the machine falls on both sides alike.  Each run's last stdout line is its
 JSON result.
 
+Then, per workload, runs ``bench/run.py ... --trace 1`` once in each checkout
+(parent first) at the first pair's seed and run length, for the per-layer
+metrics of ``BENCHMARK.json``.
+
 Writes ``BENCH_<pr>.json`` into the change's checkout with, per workload and
 metric, each side's median and quartiles over the pairs, the change's pairs
 won and tied (by the metric's ``better`` direction in ``BENCHMARK.json``), the
 parent's IQR and whether the change's median is better by more than it; plus
-every run's raw metrics and failure counts.
+every run's raw metrics and failure counts, and under ``per_layer`` each
+side's traced per-layer metrics (one run each, so no spread).
 """
 
 from __future__ import annotations
@@ -31,10 +36,10 @@ ROOT = Path(__file__).resolve().parents[1]
 PAIRS = 10
 
 
-def _run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+def _run(checkout: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
     proc = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
+         "--seconds", str(seconds), "--trace", str(trace)],
         cwd=checkout, capture_output=True, text=True, check=False)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
@@ -66,6 +71,25 @@ def _summary(parent: list[float], change: list[float], better: str) -> dict:
         "parent_iqr": p_q3 - p_q1,
         "median_gain_exceeds_parent_iqr": sign * (c_med - p_med) > p_q3 - p_q1,
         "relative_change": (c_med - p_med) / p_med if p_med else None,
+    }
+
+
+def _per_layer(sides: dict[str, Path], workload: str, seed: int, seconds: float) -> dict:
+    """One traced run per side: the seed, each side's failure count and, per
+    per-layer metric, its unit and both sides' values."""
+    traced = {}
+    for side, checkout in sides.items():
+        start = time.time()
+        traced[side] = _run(checkout, workload, seed, seconds, trace=1)
+        print(f"{workload} traced {side}: {time.time() - start:.0f} s", file=sys.stderr)
+    layers = traced["change"]["metrics"]
+    return {
+        "seed": seed,
+        "failed": {side: r["failed"] for side, r in traced.items()},
+        "metrics": {name: {"unit": m["unit"],
+                           **{side: r["metrics"].get(name, {}).get("value")
+                              for side, r in traced.items()}}
+                    for name, m in layers.items()},
     }
 
 
@@ -104,6 +128,7 @@ def main() -> int:
             "attempted": {side: [r["attempted"] for r in runs[side]] for side in runs},
             "runs": {side: [{k: v["value"] for k, v in r["metrics"].items()}
                             for r in runs[side]] for side in runs},
+            "per_layer": _per_layer(sides, workload, args.seed, seconds),
         }
     out = args.change / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(report, indent=1) + "\n")

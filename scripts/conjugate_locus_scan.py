@@ -4,7 +4,9 @@ classification against SVD of the numeric exponential differential.
 
 Writes the locus grid as CSV and prints the roots of the conjugate condition
 found below the alpha ceiling, together with the number of classification
-disagreements (expected: zero).
+disagreements (expected: zero).  The numeric rank of each d exp follows the
+toolkit's one rank rule; covectors whose rank falls in its ambiguity band are
+listed and count as a failure (exit 1) like a disagreement.
 """
 
 import argparse
@@ -15,7 +17,7 @@ import numpy as np
 
 from subriem.flow import d_exp_batch
 from subriem.heisenberg import conjugate_locus_rows, heis_conjugate_roots
-from subriem.linalg import RANK_REL_TOL
+from subriem.linalg import RANK_REL_TOL, rank_decisions
 from subriem.structure import make_structure
 
 
@@ -51,12 +53,16 @@ def main() -> int:
     t0 = time.perf_counter()
     mats = d_exp_batch(struct, np.zeros(3), covs, tol=args.tol)
     svds = np.linalg.svd(mats, compute_uv=False)
-    numeric_conjugate = svds[:, -1] < RANK_REL_TOL * svds[:, 0]
+    ranks, ambiguous = rank_decisions(svds, RANK_REL_TOL * svds[:, 0])
+    numeric_conjugate = ranks < struct.n
     closed = np.array([flag for _, _, _, flag, *_ in rows], dtype=bool)
-    disagreements = int(np.sum(numeric_conjugate != closed))
+    disagreements = int(np.sum((numeric_conjugate != closed) & ~ambiguous))
     print(f"SVD sweep over {len(covs)} covectors in {time.perf_counter()-t0:.1f} s; "
-          f"{disagreements} disagreement(s) with the closed-form classification")
-    return 0 if disagreements == 0 else 1
+          f"{disagreements} disagreement(s) with the closed-form classification, "
+          f"{int(ambiguous.sum())} ambiguous")
+    for cov, sv in zip(covs[ambiguous], svds[ambiguous]):
+        print(f"  ambiguous rank at covector {cov.tolist()}: singular values {sv.tolist()}")
+    return 0 if disagreements == 0 and not ambiguous.any() else 1
 
 
 if __name__ == "__main__":

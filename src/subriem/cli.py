@@ -174,7 +174,7 @@ def _emit_records(args, fh, payload, header: list[str], rows: list[list]) -> Non
 
 
 def _point_covector(args, n: int, covector_required: bool = True):
-    point = _parse_vector(args.point, "--point") if args.point else np.zeros(n)
+    point = np.zeros(n) if args.point is None else _parse_vector(args.point, "--point")
     if args.covector is None:
         if covector_required:
             raise ConfigError("--covector is required")
@@ -226,10 +226,12 @@ def _cmd_jacobi(args) -> int:
     struct = _resolve_structure(args)
     tol = _check_tol(args.tol)
     point, covector = _point_covector(args, struct.n)
-    init_p = (_parse_vector(args.init_p, "--init-p") if args.init_p
-              else np.eye(struct.n)[0])
-    init_x = (_parse_vector(args.init_x, "--init-x") if args.init_x
-              else np.zeros(struct.n))
+    init_p = (np.eye(struct.n)[0] if args.init_p is None
+              else _parse_vector(args.init_p, "--init-p"))
+    init_x = (np.zeros(struct.n) if args.init_x is None
+              else _parse_vector(args.init_x, "--init-x"))
+    if init_p.shape != (struct.n,) or init_x.shape != (struct.n,):
+        raise ConfigError(f"--init-p and --init-x must have {struct.n} components")
     traj = integrate_extremal(struct, point, covector, args.t_max, tol,
                               samples=args.samples)
     coords = jac.propagate_jacobi(struct, traj, init_p, init_x)

@@ -49,6 +49,7 @@ from .errors import (AmbiguousRankError, CrossingEndpointError,
                      DegenerateCrossingError, NonIdealStructureError,
                      SubriemError, UnresolvedCrossingError,
                      ZeroHamiltonianError)
+# d_exp is unused here but kept importable: the benchmark's tracer binds maslov.d_exp
 from .flow import (ExtremalTrajectory, d_exp, integrate_extremal,
                    integrate_extremal_batch, lookup)
 from .linalg import (RANK_REL_TOL, block_swap, numerical_rank, omega_px,
@@ -649,11 +650,13 @@ def continuity_check(struct: Structure, point, covector, delta_ray: float = 1e-2
     covector; each must carry exactly the kernel dimension of the center.
 
     Rays are sampled in a ball of radius ``delta_ray * |lambda0| / 4`` around
-    the covector (``n_rays >= 1``, ``0 < delta_ray < 1``), integrated as one
-    batch and scanned over the window [1 - delta_ray, 1 + delta_ray] in one
-    stacked pass (covering the bundle of rays joining the two endpoint balls
-    of the construction).  Endpoint certification failures propagate as
-    :class:`CrossingEndpointError`.
+    the covector (``n_rays >= 1``, ``0 < delta_ray < 1``).  The centre and the
+    rays are integrated as one batch, the centre first, to 1 + delta_ray; the
+    kernel dimension is read off the centre's d exp, the q-p block of its
+    stored Phi(1).  The rays are scanned over the window
+    [1 - delta_ray, 1 + delta_ray] in one stacked pass (covering the bundle of
+    rays joining the two endpoint balls of the construction).  Endpoint
+    certification failures propagate as :class:`CrossingEndpointError`.
     """
     if n_rays < 1:
         raise ValueError(f"need n_rays >= 1, got {n_rays}")
@@ -663,8 +666,6 @@ def continuity_check(struct: Structure, point, covector, delta_ray: float = 1e-2
     covector = np.asarray(covector, dtype=float)
     if struct.hamiltonian_raw(point, covector) <= 1e-30:
         raise ZeroHamiltonianError("continuity check requires H(lambda0) != 0")
-    dmat = d_exp(struct, point, covector, tol)
-    kernel_dim = struct.n - numerical_rank(dmat)[0]
 
     rng = np.random.default_rng(seed)
     radius = delta_ray * float(np.linalg.norm(covector)) / 4
@@ -674,9 +675,12 @@ def continuity_check(struct: Structure, point, covector, delta_ray: float = 1e-2
     rays = covector[None, :] + dirs * radii[:, None]
 
     r, s = 1.0 - delta_ray, 1.0 + delta_ray
-    trajs = integrate_extremal_batch(struct, point, rays, s, tol, samples=_scan_grid(r, s))
-    curve = JacobiCurveSamples(trajs, "jacobi", trajs[0].ts)
+    trajs = integrate_extremal_batch(struct, point, np.vstack([covector, rays]), s, tol,
+                                     samples=np.append(_scan_grid(r, s), 1.0))
+    centre, n = trajs[0], struct.n
+    kernel_dim = n - numerical_rank(centre.phis[np.searchsorted(centre.ts, 1.0)][:n, n:])[0]
+    curve = JacobiCurveSamples(trajs[1:], "jacobi", centre.ts)
     counts = [_maslov_count(reports)
-              for reports in _locate_all(curve, vertical_frame(struct.n), r, s)]
+              for reports in _locate_all(curve, vertical_frame(n), r, s)]
     totals, indices = (np.array(col, dtype=int) for col in zip(*counts))
     return ContinuityReport(kernel_dim, rays, totals, indices)

@@ -14,7 +14,8 @@ from subriem.errors import CrossingEndpointError
 from subriem.flow import (d_exp_batch, exp_map, integrate_extremal,
                           integrate_extremal_batch)
 from subriem.heisenberg import ALPHA_STAR, HeisCovector
-from subriem.linalg import RANK_REL_TOL, block_swap, omega_px, symplectic_defect
+from subriem.linalg import (RANK_REL_TOL, block_swap, omega_px, rank_decisions,
+                            symplectic_defect)
 from subriem.maslov import (JacobiCurveSamples, _scan_grid, locate_crossings,
                             maslov_index, vertical_frame)
 from subriem.structure import make_structure
@@ -134,12 +135,13 @@ def test_criterion_6_conjugate_locus():
         heis.classify_conjugate(HeisCovector((0, 0, 0), tuple(cov))).is_conjugate
         for cov in covs
     ])
-    numeric_flags = np.zeros(len(covs), dtype=bool)
-    for lo in range(0, len(covs), 200):
-        mats = d_exp_batch(struct, np.zeros(3), covs[lo:lo + 200], tol=1e-10)
-        svals = np.linalg.svd(mats, compute_uv=False)
-        numeric_flags[lo:lo + len(mats)] = svals[:, -1] < RANK_REL_TOL * svals[:, 0]
-    disagreements = int(np.sum(closed_flags != numeric_flags))
+    svals = np.concatenate([
+        np.linalg.svd(d_exp_batch(struct, np.zeros(3), covs[lo:lo + 200], tol=1e-10),
+                      compute_uv=False)
+        for lo in range(0, len(covs), 200)])
+    ranks, ambiguous = rank_decisions(svals, RANK_REL_TOL * svals[:, 0])
+    assert not ambiguous.any(), f"ambiguous rank at {covs[ambiguous].tolist()}"
+    disagreements = int(np.sum(closed_flags != (ranks < 3)))
     assert disagreements == 0, f"{disagreements} classification disagreements"
     roots = heis.heis_conjugate_roots(10.0)
     assert len(roots) == 2

@@ -1,10 +1,14 @@
+import contextlib
+import io
 import json
 import math
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from subriem import flow
 from subriem.cli import main
 from subriem.structure import euclidean_structure, save_structure
 
@@ -257,6 +261,15 @@ def test_conjugate_window_bounds_are_config_errors(capsys, cmd, t_min, t_max):
     assert "0 < --t-min < --t-max" in err
 
 
+@pytest.mark.parametrize("flag", ["--init-p=1,0", "--init-x=0,0,0,1", "--init-p=",
+                                  "--init-x=0,nan,0"])
+def test_jacobi_bad_initial_data_is_config_error(capsys, flag):
+    code, out, err = run(capsys, "jacobi", "--covector", "1,0,2", flag)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
+
+
 @pytest.mark.parametrize("cmd", ["geodesic", "jacobi"])
 @pytest.mark.parametrize("t_max", ["nan", "inf", "0"])
 def test_non_finite_span_is_config_error(capsys, cmd, t_max):
@@ -264,3 +277,80 @@ def test_non_finite_span_is_config_error(capsys, cmd, t_max):
     assert code == 1
     assert out == ""
     assert "positive" in err
+
+
+def _parses(text: str) -> bool:
+    try:
+        [float(part) for part in text.split(",")]
+    except ValueError:
+        return False
+    return True
+
+
+_FINITE = st.floats(-1e6, 1e6, allow_nan=False)
+_NON_FINITE = st.sampled_from(["nan", "-nan", "inf", "-inf", "1e999", "-1e400"])
+_ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True)
+
+
+def _joined(values) -> str:
+    return ",".join(v if isinstance(v, str) else repr(v) for v in values)
+
+
+@st.composite
+def _malformed(draw):
+    """Flags (as ``--flag=value``) that differ from the valid Heisenberg query
+    ``--covector=1,0,3`` by one malformed argument."""
+    flags = {"--covector": "1,0,3"}
+    vector = draw(st.sampled_from(["--covector", "--point"]))
+    kind = draw(st.sampled_from(["unparsable", "non-finite", "components", "zero-H",
+                                 "window", "tol"]))
+    if kind == "unparsable":
+        flags[vector] = draw(st.text("0123456789.,-+eE xa", max_size=12)
+                             .filter(lambda text: not _parses(text)))
+    elif kind == "non-finite":
+        values = draw(st.lists(_FINITE, min_size=3, max_size=3))
+        values[draw(st.integers(0, 2))] = draw(_NON_FINITE)
+        flags[vector] = _joined(values)
+    elif kind == "components":
+        flags[vector] = _joined(draw(st.lists(_FINITE, min_size=1, max_size=5)
+                                     .filter(lambda v: len(v) != 3)))
+    elif kind == "zero-H":
+        # on the z axis H = (p1^2 + p2^2) / 2, at most 1e-32 here
+        tiny = st.floats(-1e-16, 1e-16)
+        flags["--point"] = _joined([0.0, 0.0, draw(_FINITE)])
+        flags["--covector"] = _joined([draw(tiny), draw(tiny), draw(_FINITE)])
+    elif kind == "window":
+        t_min, t_max = draw(st.tuples(_ANY_FLOAT, _ANY_FLOAT)
+                            .filter(lambda w: not 0 < w[0] < w[1] < math.inf))
+        flags["--t-min"], flags["--t-max"] = repr(t_min), repr(t_max)
+    else:
+        flags["--tol"] = repr(draw(_ANY_FLOAT.filter(lambda t: not 1e-13 <= t <= 1e-3)))
+    return [f"{flag}={value}" for flag, value in flags.items()]
+
+
+@settings(max_examples=150)
+@given(cmd=st.sampled_from(["conjugate", "maslov"]), flags=_malformed())
+def test_malformed_arguments_exit_one_before_integrating(cmd, flags):
+    # every integration entry point (integrate_extremal, the batch, d_exp) runs
+    # through flow._integrate, so a spy there sees any integration
+    integrations = []
+    core = flow._integrate
+
+    def spy(*args, **kwargs):
+        integrations.append(args)
+        return core(*args, **kwargs)
+
+    out, err = io.StringIO(), io.StringIO()
+    flow._integrate = spy
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main([cmd, *flags])
+            except SystemExit as exc:
+                code = exc.code
+    finally:
+        flow._integrate = core
+    assert code == 1, (flags, err.getvalue())
+    assert out.getvalue() == ""
+    assert any(line.startswith("error:") for line in err.getvalue().splitlines())
+    assert integrations == []

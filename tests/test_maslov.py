@@ -546,6 +546,7 @@ def test_continuity_at_conjugate_covector(heis):
 def test_continuity_multiplicity_bounded_by_dimension(heis):
     report = continuity_check(heis, np.zeros(3), np.array([1.0, 0, ALPHA_STAR]),
                               delta_ray=1e-2, n_rays=8, seed=8)
+    assert report.kernel_dim == 1
     assert np.all(report.ray_totals <= 3)
     assert report.passed
 
@@ -605,14 +606,17 @@ def test_stacked_scan_matches_single_curve_scans(heis, alpha):
                                                     (ALPHA_STAR, 27, 1350)],
                          ids=["2pi", "astar"])
 def test_continuity_jet_calls_bounded(heis, monkeypatch, alpha, max_calls, rows):
-    # after its two integrations (d_exp and the ray batch) a 50-ray check
-    # refines every crossing of every ray in shared Newton rounds: the jet rows
-    # are those of 50 separate scans (1,309 and 1,350 one-row calls), in a
-    # few batched calls per round
+    # a 50-ray check integrates once: the centre joins its rays as row 0 of one
+    # 51-row batch, and its kernel comes from that row's Phi(1) (no d_exp).
+    # After the integration it refines every crossing of every ray in shared
+    # Newton rounds: the jet rows are those of 50 separate scans (1,309 and
+    # 1,350 one-row calls), in a few batched calls per round
     calls = []
     integrated = []
+    single = []
     jet = Structure.jet_raw_batch
     batch = maslov.integrate_extremal_batch
+    integrate = flow.integrate_extremal
 
     def counted_jet(self, z):
         if integrated:
@@ -624,11 +628,18 @@ def test_continuity_jet_calls_bounded(heis, monkeypatch, alpha, max_calls, rows)
         integrated.append(len(trajs))
         return trajs
 
+    def counted_single(*args, **kwargs):
+        single.append(args)
+        return integrate(*args, **kwargs)
+
     monkeypatch.setattr(Structure, "jet_raw_batch", counted_jet)
     monkeypatch.setattr(maslov, "integrate_extremal_batch", counted_batch)
+    monkeypatch.setattr(flow, "integrate_extremal", counted_single)
+    monkeypatch.setattr(maslov, "integrate_extremal", counted_single)
     report = continuity_check(heis, np.zeros(3), np.array([1.0, 0, alpha]), 1e-2, 50,
                               1e-10, 42)
-    assert report.passed and integrated == [50]
+    assert report.passed and report.kernel_dim == 1
+    assert integrated == [51] and single == []
     assert len(calls) <= max_calls
     assert sum(calls) == rows
 
