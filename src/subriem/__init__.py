@@ -16,22 +16,17 @@ from .flow import (ExtremalTrajectory, IntegrationStats, check_constant_speed,
                    integrate_extremal_batch)
 from .heisenberg import (ALPHA_STAR, CollisionResult, ConjugateClass,
                          ConjugateRoot, HeisCovector, classify_conjugate,
-                         conjugate_locus_rows, find_collision, fold_derivative,
+                         conjugate_locus_rows, find_collision,
                          heis_conjugate_roots, heis_d_exp, heis_exp_closed,
-                         heis_exp_point, heis_frame_blocks, heis_group_law,
-                         heis_inverse, heis_jacobi_matrix, heis_state,
+                         heis_exp_point, heis_jacobi_matrix, heis_state,
                          phi_conjugate)
-from .jacobi import (DecompositionReport, FrameMatrices, JacobiCoordinates,
-                     decomposition, frame_matrices, pairing, propagate_jacobi,
+from .jacobi import (JacobiCoordinates, pairing, propagate_jacobi,
                      regularity_check)
 from .maslov import (ContinuityReport, CrossingReport, JacobiCurveSamples,
                      LagrangianFrame, continuity_check, count_conjugate_on_ray,
-                     crossing_form, form_signature, horizontal_frame,
-                     intersection_dim, jacobi_curve, l_curve, locate_crossings,
+                     crossing_form, jacobi_curve, l_curve, locate_crossings,
                      maslov_index, vertical_frame)
-from .structure import (PhaseState, PolyVectorField, SparsePolynomial, Structure,
-                        hamiltonian, hamiltonian_jet, load_structure,
-                        make_structure, minimal_control, momentum_functions,
-                        save_structure)
+from .structure import (PolyVectorField, SparsePolynomial, Structure,
+                        load_structure, make_structure)
 
 __version__ = "0.1.0"

@@ -19,8 +19,9 @@ from . import heisenberg as heis
 from . import jacobi as jac
 from . import maslov as mas
 from . import verify as verify_mod
-from .errors import (CrossingEndpointError, IntegrationError, SearchFailureError,
-                     SubriemError, ZeroHamiltonianError)
+from .errors import (CrossingEndpointError, DimensionMismatchError,
+                     IntegrationError, SearchFailureError, SubriemError,
+                     ZeroHamiltonianError)
 from .flow import integrate_extremal
 from .structure import Structure, load_structure, make_structure
 
@@ -128,7 +129,8 @@ def _resolve_structure(args) -> Structure:
     if getattr(args, "structure_file", None):
         try:
             return load_structure(args.structure_file)
-        except (OSError, ValueError, KeyError) as exc:
+        except (OSError, ValueError, KeyError, TypeError, OverflowError,
+                DimensionMismatchError) as exc:
             raise ConfigError(f"could not load structure file: {exc}") from None
     try:
         return make_structure(args.structure)

@@ -22,7 +22,6 @@ States and fundamental matrices are stored in (q, p) ordering; use
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -339,14 +338,14 @@ def _augmented_rhs(struct: Structure):
     return rhs
 
 
-@dataclass(frozen=True)
-class ExtremalTrajectory:
+class ExtremalTrajectory(NamedTuple):
     """A sampled normal extremal with its fundamental-matrix samples.
 
     ``states[i]`` is (q, p) at ``ts[i]`` and ``phis[i]`` the 2n x 2n variational
     matrix (d of the time-t flow at the initial condition), with Phi(0) = I.
     ``stats`` is the integration's record, shared by a batch; its step
-    boundaries let lookups between samples replay the accepted steps.
+    boundaries let lookups between samples replay the accepted steps.  A
+    NamedTuple, like ``IntegrationStats``: it validates nothing.
     """
 
     structure: Structure
@@ -382,18 +381,8 @@ class ExtremalTrajectory:
         states, phis = lookup([self], 0, np.array([t], dtype=float))
         return states[0], phis[0]
 
-    def state_at(self, t: float) -> np.ndarray:
-        return self.at(t)[0]
-
     def phi_at(self, t: float) -> np.ndarray:
         return self.at(t)[1]
-
-    def hamiltonian_values(self) -> np.ndarray:
-        return self.structure.jet_raw_batch(self.states)[0]
-
-    def energy_drift(self) -> float:
-        """Max relative drift of H over the stored samples."""
-        return _relative_drift(self.hamiltonian_values())
 
     def symplectic_defect(self) -> float:
         om = omega_qp(self.n)

@@ -177,30 +177,6 @@ def heis_exp_point(hc: HeisCovector, t: float = 1.0) -> np.ndarray:
     return np.array([z.real, z.imag, tau])
 
 
-def heis_group_law(g, h) -> np.ndarray:
-    """Group product (x,y,tau)*(x',y',tau') = (x+x', y+y', tau+tau' - Im[z conj(z')]/2)."""
-    g = np.asarray(g, dtype=float)
-    h = np.asarray(h, dtype=float)
-    zg = complex(g[0], g[1])
-    zh = complex(h[0], h[1])
-    return np.array([g[0] + h[0], g[1] + h[1],
-                     g[2] + h[2] - 0.5 * (zg * zh.conjugate()).imag])
-
-
-def heis_inverse(g) -> np.ndarray:
-    g = np.asarray(g, dtype=float)
-    return -g
-
-
-def heis_left_translation_differential(g) -> np.ndarray:
-    """Differential at the identity of left translation by g (a 3x3 matrix)."""
-    g = np.asarray(g, dtype=float)
-    mat = np.eye(3)
-    mat[2, 0] = -g[1] / 2
-    mat[2, 1] = g[0] / 2
-    return mat
-
-
 def heis_jacobi_matrix(hc: HeisCovector, t: float) -> np.ndarray:
     """Fundamental matrix M(t) of the linearized flow, in (p, x) block order
     (rows and columns ordered du, dv, dalpha, dx, dy, dtau); M(0) = I."""
@@ -366,19 +342,6 @@ def classify_conjugate(hc: HeisCovector, tol: float = CONJUGATE_TOL) -> Conjugat
     x0, y0, _ = hc.base
     kernel = np.array([(hc.eta0 + y0) / 2, -(hc.xi0 + x0) / 2, 1.0])
     return ConjugateClass("C0", kernel)
-
-
-def fold_derivative(hc: HeisCovector) -> float:
-    """Transversality scalar of the fold: H(lambda0)/(2 alpha0^2) *
-    [2 - (2 + alpha0^2) cos alpha0]; nonzero at every C0 conjugate covector.
-
-    Its sign matches the t-derivative at t = 1 of det d_{t lambda0} exp
-    (they differ by the positive factor 4 / alpha0^2).
-    """
-    al = hc.alpha0
-    if al == 0.0:
-        raise ValueError("fold derivative undefined at alpha0 = 0")
-    return hc.hamiltonian / (2 * al * al) * (2 - (2 + al * al) * math.cos(al))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Small dense linear-algebra helpers: symplectic matrices, rank decisions, subspaces.
+"""Small dense linear-algebra helpers: symplectic matrices and rank decisions.
 
 Conventions used throughout the package, in one place:
 
@@ -94,9 +94,3 @@ def rank_split(mat: np.ndarray) -> tuple[int, np.ndarray, np.ndarray, np.ndarray
 def numerical_rank(mat: np.ndarray) -> tuple[int, np.ndarray]:
     """Rank and singular values of ``mat`` by ``rank_split``."""
     return rank_split(mat)[:2]
-
-
-def principal_angles(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Principal angles between the column spans of ``a`` and ``b``."""
-    sv = np.linalg.svd(rank_split(a)[2].T @ rank_split(b)[2], compute_uv=False)
-    return np.arccos(np.clip(sv, -1.0, 1.0))

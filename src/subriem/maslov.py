@@ -90,9 +90,6 @@ class LagrangianFrame:
     def n(self) -> int:
         return self.matrix.shape[1]
 
-    def isotropy_defect(self) -> float:
-        return float(_lagrangian_defects(self.matrix[None])[0][0])
-
 
 def _lagrangian_defects(mats: np.ndarray, certified: np.ndarray | None = None
                         ) -> tuple[np.ndarray, dict[int, Exception]]:
@@ -143,10 +140,6 @@ def vertical_frame(n: int) -> LagrangianFrame:
     return LagrangianFrame(np.vstack([np.eye(n), np.zeros((n, n))]))
 
 
-def horizontal_frame(n: int) -> LagrangianFrame:
-    return LagrangianFrame(np.vstack([np.zeros((n, n)), np.eye(n)]))
-
-
 def _sympl_inverse(phi_px: np.ndarray) -> np.ndarray:
     """Inverse of symplectic matrices (..., 2n, 2n) in (p, x) order:
     Omega^{-1} M^T Omega (a signed block permutation, so exact)."""
@@ -173,11 +166,6 @@ def jacobi_curve(struct: Structure, traj: ExtremalTrajectory, t: float) -> Lagra
 def l_curve(struct: Structure, traj: ExtremalTrajectory, t: float) -> LagrangianFrame:
     """Vertical space transported forward: columns of Phi(t) [I; 0]."""
     return LagrangianFrame(_curve_frames("l", traj.phi_at(t)))
-
-
-def intersection_dim(f: LagrangianFrame, g: LagrangianFrame) -> int:
-    """dim(span F  intersect  span G) = 2n - rank([F | G])."""
-    return 2 * f.n - numerical_rank(np.hstack([f.matrix, g.matrix]))[0]
 
 
 class JacobiCurveSamples:
@@ -295,15 +283,6 @@ def _signatures(forms: np.ndarray) -> tuple[np.ndarray, dict[int, Exception]]:
         i: DegenerateCrossingError(f"crossing form has a near-zero eigenvalue (eigs {eigs[i]})")
         for i in np.flatnonzero(degenerate).tolist()}
     return np.sum(eigs > 0, axis=1) - np.sum(eigs < 0, axis=1), refusals
-
-
-def form_signature(form: np.ndarray) -> int:
-    """Signature (positive minus negative eigenvalue count) of a symmetric form;
-    refuses to sign eigenvalues inside the degeneracy band."""
-    signatures, refusals = _signatures(np.asarray(form, dtype=float)[None])
-    if refusals:
-        raise refusals[0]
-    return int(signatures[0])
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 
 from subriem import flow
 from subriem.cli import main
-from subriem.structure import euclidean_structure, save_structure
 
 
 def run(capsys, *argv):
@@ -150,13 +149,37 @@ def test_verify_unknown_suite(capsys):
     assert code == 1
 
 
+#: fields d/dq1 and d/dq2 on R^2 (the euclidean:2 structure) in the README file format
+E2_FIELDS = [{"components": [[[[0, 0], 1.0]], []]}, {"components": [[], [[[0, 0], 1.0]]]}]
+
+
 def test_structure_file_flag(tmp_path, capsys):
     path = tmp_path / "e2.json"
-    save_structure(euclidean_structure(2), str(path))
+    path.write_text(json.dumps({"name": "euclidean:2", "dim": 2, "fields": E2_FIELDS}))
     code, out, _ = run(capsys, "geodesic", "--structure-file", str(path),
                        "--covector", "0.5,0.5", "--samples", "3")
     assert code == 0
     assert out.split("\n")[0] == "t,q1,q2,p1,p2,H"
+
+
+@pytest.mark.parametrize("cmd", ["geodesic", "conjugate"])
+@pytest.mark.parametrize("data", [
+    {"dim": 2, "fields": [{"components": [[[[1.5, 0], 1.0]], []]}, E2_FIELDS[1]]},
+    {"dim": 2.7, "fields": E2_FIELDS},
+    {"dim": 2, "fields": [{"components": [[[[0, 0], 1.0]]]}]},
+    {"dim": 2, "fields": 5},
+    {"dim": 2, "fields": [5]},
+    {"dim": 2, "fields": [{"components": [[[[10 ** 400, 0], 1.0]], []]}, E2_FIELDS[1]]},
+], ids=["fractional-exponent", "fractional-dim", "short-field", "fields-int",
+        "fields-int-list", "huge-exponent"])
+def test_malformed_structure_file_is_config_error(tmp_path, capsys, cmd, data):
+    # each was read silently wrong (exit 0), ran as an integration failure
+    # (exit 2) or raised a traceback before it was refused at load time
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, cmd, "--structure-file", str(path), "--covector", "1,0.5")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: could not load structure file: ")
 
 
 def test_deterministic_output_files(tmp_path):

@@ -7,20 +7,28 @@ from scipy.integrate import solve_ivp
 
 from subriem.flow import integrate_extremal, integrate_extremal_batch
 from subriem.heisenberg import HeisCovector, heis_frame_blocks, heis_jacobi_matrix
-from subriem.jacobi import (decomposition, frame_matrices, pairing,
-                            propagate_jacobi, regularity_check)
-from subriem.linalg import block_swap, principal_angles
+from subriem.jacobi import pairing, propagate_jacobi, regularity_check
+from subriem.linalg import block_swap
 
 TWO_PI = 2 * math.pi
 small = st.floats(min_value=-2, max_value=2, allow_nan=False, allow_infinity=False)
 
 
+def frame_blocks(struct, traj, t):
+    """Coefficients A = H_pq, B = H_pp, R = -H_qq of the Jacobi system
+    d/dt (p, x) = [[-A^T, R], [B, A]] (p, x), read off the exact Hessian at lambda(t)."""
+    state = traj.at(t)[0]
+    n = struct.n
+    _, _, _, hqq, hqp, hpp = struct.jet_raw(state[:n], state[n:])
+    return hqp.T, hpp, -hqq
+
+
 def test_frame_matrices_heisenberg_blocks(heis, traj_2pi):
-    fm = frame_matrices(heis, traj_2pi, 0.4)
-    assert np.allclose(fm.r, np.diag([-TWO_PI ** 2 / 4, -TWO_PI ** 2 / 4, 0.0]))
-    assert np.allclose(fm.b[:2, :2], np.eye(2))
-    assert np.array_equal(fm.b, fm.b.T)
-    assert np.array_equal(fm.r, fm.r.T)
+    _, b, r = frame_blocks(heis, traj_2pi, 0.4)
+    assert np.allclose(r, np.diag([-TWO_PI ** 2 / 4, -TWO_PI ** 2 / 4, 0.0]))
+    assert np.allclose(b[:2, :2], np.eye(2))
+    assert np.array_equal(b, b.T)
+    assert np.array_equal(r, r.T)
 
 
 def test_frame_matrices_match_closed_forms(heis):
@@ -32,27 +40,27 @@ def test_frame_matrices_match_closed_forms(heis):
         traj = integrate_extremal(heis, base, cov, 1.0, samples=9)
         hc = HeisCovector(tuple(base), tuple(cov))
         for t_val in (0.25, 0.625, 1.0):
-            fm = frame_matrices(heis, traj, t_val)
+            a, b, r = frame_blocks(heis, traj, t_val)
             a_ref, b_ref, r_ref = heis_frame_blocks(hc, t_val)
-            assert np.allclose(fm.a, a_ref, atol=1e-9)
-            assert np.allclose(fm.b, b_ref, atol=1e-9)
-            assert np.allclose(fm.r, r_ref, atol=1e-12)
+            assert np.allclose(a, a_ref, atol=1e-9)
+            assert np.allclose(b, b_ref, atol=1e-9)
+            assert np.allclose(r, r_ref, atol=1e-12)
 
 
 def test_frame_matrices_euclidean(eucl3):
     traj = integrate_extremal(eucl3, np.zeros(3), np.array([1.0, 2.0, -1.0]), 1.0,
                               samples=5)
-    fm = frame_matrices(eucl3, traj, 0.5)
-    assert np.allclose(fm.a, 0)
-    assert np.allclose(fm.r, 0)
-    assert np.allclose(fm.b, np.eye(3))
+    a, b, r = frame_blocks(eucl3, traj, 0.5)
+    assert np.allclose(a, 0)
+    assert np.allclose(r, 0)
+    assert np.allclose(b, np.eye(3))
 
 
 def test_darboux_frame_rank_condition_heisenberg(heis, traj_2pi):
     # rank A(t) should equal the distribution rank (2) along this extremal
     for t_val in (0.2, 0.7, 1.0):
-        fm = frame_matrices(heis, traj_2pi, t_val)
-        assert np.linalg.matrix_rank(fm.a, tol=1e-10) == 2
+        a, _, _ = frame_blocks(heis, traj_2pi, t_val)
+        assert np.linalg.matrix_rank(a, tol=1e-10) == 2
 
 
 def test_propagate_zero_is_zero(heis, traj_2pi):
@@ -116,44 +124,6 @@ def test_pairing_grid_mismatch(heis, traj_2pi):
         pairing(j1, j2, 0.5)
 
 
-def test_decomposition_non_conjugate(heis, traj_2pi):
-    rep = decomposition(heis, traj_2pi, 0.5)
-    assert rep.dims == (3, 0)
-
-
-def test_decomposition_at_conjugate_time(heis, traj_2pi):
-    rep = decomposition(heis, traj_2pi, 1.0)
-    assert rep.dims == (2, 1)
-    assert rep.max_cross <= 1e-7
-    # the derivative space is spanned by the kernel field's p(1)
-    phi = block_swap(traj_2pi.phi_at(1.0))
-    deriv = phi[:3, :3] @ np.array([0.0, 1.0, 0.0])
-    angle = principal_angles(rep.basis_derivatives, deriv[:, None])
-    assert np.max(angle) <= 1e-7
-
-
-def test_decomposition_euclidean_all_values(eucl3):
-    traj = integrate_extremal(eucl3, np.zeros(3), np.array([1.0, -0.2, 0.4]), 1.0,
-                              samples=9)
-    for t_val in (0.25, 0.75, 1.0):
-        assert decomposition(eucl3, traj, t_val).dims == (3, 0)
-
-
-def test_decomposition_random_property(heis):
-    rng = np.random.default_rng(23)
-    covs = rng.normal(size=(25, 3)) * np.array([1.0, 1.0, 3.0])
-    covs = covs[np.abs(covs[:, :2]).sum(axis=1) > 0.2]
-    trajs = integrate_extremal_batch(heis, np.zeros(3), covs, 1.0, samples=9)
-    count = 0
-    for traj in trajs:
-        for t_val in rng.uniform(0.1, 1.0, 2):
-            rep = decomposition(heis, traj, float(t_val))
-            assert sum(rep.dims) == 3
-            assert rep.max_cross <= 1e-7
-            count += 1
-    assert count >= 50 - 10
-
-
 def test_regularity_non_conjugate(heis):
     traj = integrate_extremal(heis, np.zeros(3), np.array([1.0, 0, math.pi]), 1.0,
                               samples=5)
@@ -170,16 +140,11 @@ def test_regularity_at_conjugate_covectors(heis, traj_2pi, traj_astar):
         assert rep.passed
 
 
-@pytest.mark.parametrize("check", [
-    regularity_check,
-    lambda struct, traj: decomposition(struct, traj, 1.0),
-    lambda struct, traj: decomposition(struct, traj, 0.5),
-], ids=["regularity", "decomposition-conjugate", "decomposition-regular"])
+@pytest.mark.parametrize("check", [regularity_check], ids=["regularity"])
 @pytest.mark.parametrize("traj_name", ["traj_2pi", "traj_astar"])
 def test_rank_checks_decompose_each_matrix_once(heis, request, monkeypatch, check, traj_name):
-    # one SVD of M3(t) gives its rank, image and kernel; the only other one
-    # decides the rank of [image | M1 kernel] (regularity) or the basis of
-    # M1 kernel (decomposition)
+    # one SVD of M3(1) gives its rank, image and kernel; the only other one
+    # decides the rank of [image | M1 kernel]
     traj = request.getfixturevalue(traj_name)
     calls = []
 
@@ -195,8 +160,8 @@ def test_rank_checks_decompose_each_matrix_once(heis, request, monkeypatch, chec
 def test_frame_ode_reproduces_propagation(heis, traj_2pi):
     # independent path: scipy integration of the linear frame system
     def rhs(t, y):
-        fm = frame_matrices(heis, traj_2pi, t)
-        return fm.system_matrix() @ y
+        a, b, r = frame_blocks(heis, traj_2pi, t)
+        return np.block([[-a.T, r], [b, a]]) @ y
 
     init = np.array([0.3, -0.7, 1.1, 0.2, 0.0, -0.5])
     sol = solve_ivp(rhs, (0.0, 1.0), init, rtol=1e-11, atol=1e-13)
@@ -219,15 +184,15 @@ def test_derivative_space_independent_of_frame_choice(heis, traj_2pi):
     c_mat[:3, 3:] = g_mat @ s_mat
     c_mat[3:, 3:] = np.linalg.inv(g_mat).T
 
-    phi = block_swap(traj_2pi.phi_at(1.0))
-    phi_new = np.linalg.solve(c_mat, phi @ c_mat)
-    m3 = phi_new[3:, :3]
-    m1 = phi_new[:3, :3]
-    _, svals, vt = np.linalg.svd(m3)
-    kernel = vt[svals < 1e-8 * svals[0]].T
-    assert kernel.shape[1] == 1
-    space_new = g_mat @ (m1 @ kernel)
+    def derivative_space(phi):
+        # M1 ker M3: the derivatives of the fields that vanish at 0 and 1
+        _, svals, vt = np.linalg.svd(phi[3:, :3])
+        kernel = vt[svals < 1e-8 * svals[0]].T
+        assert kernel.shape[1] == 1
+        return phi[:3, :3] @ kernel[:, 0]
 
-    rep = decomposition(heis, traj_2pi, 1.0)
-    angles = principal_angles(rep.basis_derivatives, space_new)
-    assert np.max(angles) <= 1e-6
+    phi = block_swap(traj_2pi.phi_at(1.0))
+    space = derivative_space(phi)
+    space_new = g_mat @ derivative_space(np.linalg.solve(c_mat, phi @ c_mat))
+    cos = abs(space @ space_new) / (np.linalg.norm(space) * np.linalg.norm(space_new))
+    assert math.sqrt(max(0.0, 1 - cos * cos)) <= 1e-6

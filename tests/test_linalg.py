@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from subriem.errors import AmbiguousRankError
 from subriem.linalg import (RANK_GAP_FACTOR, RANK_REL_TOL, block_swap,
-                            numerical_rank, omega_px, omega_qp, principal_angles,
+                            numerical_rank, omega_px, omega_qp,
                             rank_decisions, rank_split, symplectic_defect)
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "subriem"
@@ -121,13 +121,6 @@ def test_rank_gap_factor_is_read_only_by_linalg():
                    if path.name != "linalg.py"
                    and re.search(r"\bRANK_GAP_FACTOR\b", path.read_text()))
     assert users == []
-
-
-def test_principal_angles():
-    a = np.eye(3)[:, :2]
-    assert np.allclose(principal_angles(a, a), 0.0)
-    b = np.eye(3)[:, 2:]
-    assert principal_angles(a, b) == pytest.approx(np.pi / 2)
 
 
 def test_omega_conventions_are_block_swaps_of_each_other():

@@ -11,11 +11,10 @@ from subriem.errors import (AmbiguousRankError, CrossingEndpointError,
                             UnresolvedCrossingError, ZeroHamiltonianError)
 from subriem.flow import integrate_extremal, integrate_extremal_batch
 from subriem.heisenberg import ALPHA_STAR
-from subriem.linalg import RANK_REL_TOL, omega_px
+from subriem.linalg import RANK_REL_TOL, numerical_rank, omega_px
 from subriem.maslov import (CrossingReport, JacobiCurveSamples, LagrangianFrame,
                             _scan_grid, continuity_check, count_conjugate_on_ray,
-                            crossing_form, form_signature, horizontal_frame,
-                            intersection_dim, jacobi_curve, locate_crossings,
+                            crossing_form, jacobi_curve, locate_crossings,
                             maslov_index, vertical_frame)
 from subriem.structure import Structure, load_structure
 
@@ -58,14 +57,16 @@ def test_isotropy_of_symmetric_graph_frames():
     rng = np.random.default_rng(0)
     a = rng.normal(size=(3, 3))
     frame = LagrangianFrame(np.vstack([np.eye(3), 0.5 * (a + a.T)]))
-    assert frame.isotropy_defect() <= 1e-12
+    defects, refusals = maslov._lagrangian_defects(frame.matrix[None])
+    assert defects[0] <= 1e-12 and not refusals
 
 
 def test_jacobi_curve_starts_vertical(heis, traj_2pi):
     frame = jacobi_curve(heis, traj_2pi, 0.0)
     assert np.allclose(frame.matrix[:3], np.eye(3))
     assert np.allclose(frame.matrix[3:], 0)
-    assert intersection_dim(frame, vertical_frame(3)) == 3
+    # the intersection with the vertical has dimension 2n - rank([F | V])
+    assert numerical_rank(np.hstack([frame.matrix, vertical_frame(3).matrix]))[0] == 3
 
 
 def test_euclidean_jacobi_curve_never_returns(eucl3):
@@ -75,13 +76,13 @@ def test_euclidean_jacobi_curve_never_returns(eucl3):
         frame = jacobi_curve(eucl3, traj, t_val)
         assert np.allclose(frame.matrix[:3], np.eye(3))
         assert np.allclose(frame.matrix[3:], -t_val * np.eye(3), atol=1e-12)
-        assert intersection_dim(frame, vertical_frame(3)) == 0
+        assert numerical_rank(np.hstack([frame.matrix, vertical_frame(3).matrix]))[0] == 6
 
 
 def test_heisenberg_conjugate_meets_vertical(heis, traj_2pi):
     j0 = jacobi_curve(heis, traj_2pi, 0.0)
     j1 = jacobi_curve(heis, traj_2pi, 1.0)
-    assert intersection_dim(j1, j0) == 1
+    assert numerical_rank(np.hstack([j1.matrix, j0.matrix]))[0] == 5   # a 1-dim intersection
 
 
 def test_l_curve_crossings_match_jacobi_curve(heis):
@@ -98,11 +99,6 @@ def test_l_curve_crossings_match_jacobi_curve(heis):
     # forward transport flips the crossing-form sign relative to the Jacobi curve
     assert rep_j[0].signature == -1
     assert rep_l[0].signature == 1
-
-
-def test_intersection_dim_basic():
-    assert intersection_dim(vertical_frame(3), vertical_frame(3)) == 3
-    assert intersection_dim(vertical_frame(3), horizontal_frame(3)) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +191,7 @@ def test_curve_derivative_rank_equals_horizontal_rank(heis, traj_2pi):
     for t_star in (0.0, 0.4, 0.9):
         (f_star,), (velocity,) = curve.jets_at([t_star])
         deriv_form = f_star.T @ om @ velocity
-        state = traj_2pi.state_at(t_star)
+        state = traj_2pi.at(t_star)[0]
         assert np.allclose(deriv_form, -heis.jet_raw(state[:3], state[3:])[5],
                            rtol=0, atol=1e-10)
         svals = np.linalg.svd(deriv_form, compute_uv=False)
@@ -204,10 +200,10 @@ def test_curve_derivative_rank_equals_horizontal_rank(heis, traj_2pi):
 
 
 def test_form_signature_rejects_degenerate():
-    with pytest.raises(DegenerateCrossingError):
-        form_signature(np.diag([1.0, 0.0]))
-    assert form_signature(np.diag([2.0, -1.0])) == 0
-    assert form_signature(np.diag([-2.0, -1.0])) == -2
+    signatures, refusals = maslov._signatures(
+        np.array([np.diag([1.0, 0.0]), np.diag([2.0, -1.0]), np.diag([-2.0, -1.0])]))
+    assert list(refusals) == [0] and isinstance(refusals[0], DegenerateCrossingError)
+    assert signatures[1:].tolist() == [0, -2]
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +413,8 @@ def test_rank_certificate_inequalities():
     for n in (1, 2, 3, 4):
         sym = rng.normal(size=(n, n))
         graph, _ = np.linalg.qr(np.vstack([0.5 * (sym + sym.T), np.eye(n)]))
-        for l0 in (vertical_frame(n), horizontal_frame(n), LagrangianFrame(graph)):
+        horizontal = LagrangianFrame(np.vstack([np.zeros((n, n)), np.eye(n)]))
+        for l0 in (vertical_frame(n), horizontal, LagrangianFrame(graph)):
             pair = l0.matrix.T @ omega_px(n)
             pair_norm = np.linalg.norm(pair, 2)
             for trial in range(40):
