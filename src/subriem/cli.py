@@ -3,12 +3,15 @@
 Subcommands: geodesic, jacobi, conjugate, maslov, collide, locus, verify.
 All numeric output uses 17 significant digits in JSON and 12 in CSV.
 Exit codes: 0 ok, 1 config error, 2 integration failure, 3 conjugate window
-endpoint, 4 search failure, 5 verification failure.
+endpoint, 4 search failure, 5 verification failure.  ``geodesic``,
+``conjugate`` and ``maslov`` take ``--stats``, which writes the integration's
+cost record to stderr as one JSON line and leaves stdout unchanged.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import re
 import sys
 from contextlib import contextmanager
@@ -175,6 +178,16 @@ def _emit_records(args, fh, payload, header: list[str], rows: list[list]) -> Non
         fh.write(_json_dumps(payload) + "\n")
 
 
+def _write_stats(args, stats) -> None:
+    """With ``--stats``, the integration's cost record as one JSON line on
+    stderr; ``stats`` is None when nothing was integrated."""
+    if args.stats:
+        summary = (stats.summary() if stats is not None else
+                   {"rhs_rows": 0, "accepted": 0, "rejected": 0, "h_min": None,
+                    "h_max": None, "max_error": 0.0})
+        sys.stderr.write(json.dumps(summary) + "\n")
+
+
 def _point_covector(args, n: int, covector_required: bool = True):
     point = np.zeros(n) if args.point is None else _parse_vector(args.point, "--point")
     if args.covector is None:
@@ -210,6 +223,7 @@ def _cmd_geodesic(args) -> int:
             row += list(np.eye(2 * n).ravel())
         with _output(args) as fh:
             _emit_table(args, fh, header, [row])
+        _write_stats(args, None)
         return EXIT_OK
     traj = integrate_extremal(struct, point, covector, args.t_max, tol,
                               samples=args.samples)
@@ -221,6 +235,7 @@ def _cmd_geodesic(args) -> int:
         rows.append(row)
     with _output(args) as fh:
         _emit_table(args, fh, header, rows)
+    _write_stats(args, traj.stats)
     return EXIT_OK
 
 
@@ -246,7 +261,8 @@ def _cmd_jacobi(args) -> int:
 
 
 def _conjugate_reports(struct, point, covector, t_min, t_max, tol):
-    """Conjugate times in (t_min, t_max), shared by ``conjugate`` and ``maslov``."""
+    """Conjugate times in (t_min, t_max) and the integration's record, shared
+    by ``conjugate`` and ``maslov``."""
     if not 0 < t_min < t_max < np.inf:
         raise ConfigError("need finite 0 < --t-min < --t-max (t = 0 is always a "
                           "crossing: the Jacobi curve starts on the vertical)")
@@ -260,7 +276,7 @@ def _cmd_conjugate(args) -> int:
     struct = _resolve_structure(args)
     tol = _check_tol(args.tol)
     point, covector = _point_covector(args, struct.n)
-    reports = _conjugate_reports(struct, point, covector, args.t_min, args.t_max, tol)
+    reports, stats = _conjugate_reports(struct, point, covector, args.t_min, args.t_max, tol)
     payload = []
     for rep in reports:
         entry = rep.to_json_dict()
@@ -276,6 +292,7 @@ def _cmd_conjugate(args) -> int:
             for e in payload]
     with _output(args) as fh:
         _emit_records(args, fh, payload, header, rows)
+    _write_stats(args, stats)
     return EXIT_OK
 
 
@@ -283,7 +300,7 @@ def _cmd_maslov(args) -> int:
     struct = _resolve_structure(args)
     tol = _check_tol(args.tol)
     point, covector = _point_covector(args, struct.n)
-    reports = _conjugate_reports(struct, point, covector, args.t_min, args.t_max, tol)
+    reports, stats = _conjugate_reports(struct, point, covector, args.t_min, args.t_max, tol)
     payload = {
         "index": sum(rep.signature for rep in reports),
         "crossings": [rep.to_json_dict() for rep in reports],
@@ -295,6 +312,7 @@ def _cmd_maslov(args) -> int:
         rows = [[payload["index"], "", "", "", "", ""]]
     with _output(args) as fh:
         _emit_records(args, fh, payload, header, rows)
+    _write_stats(args, stats)
     return EXIT_OK
 
 
@@ -394,12 +412,18 @@ def _build_parser() -> _Parser:
                        help="output format (each command has a natural default)")
         p.add_argument("--seed", type=int, default=42, help="seed for randomized scans")
 
+    def stats_flag(p):
+        p.add_argument("--stats", action="store_true",
+                       help="write the integration's cost record (rhs_rows, accepted, "
+                            "rejected, h_min, h_max, max_error) to stderr as one JSON line")
+
     p = sub.add_parser("geodesic", help="integrate one normal geodesic to CSV")
     common(p)
     p.add_argument("--t-max", type=float, default=1.0)
     p.add_argument("--samples", type=int, default=129)
     p.add_argument("--phi", action="store_true",
                    help="append the fundamental-matrix entries row-major")
+    stats_flag(p)
     p.set_defaults(func=_cmd_geodesic)
 
     p = sub.add_parser("jacobi", help="propagate one Jacobi field to CSV")
@@ -414,12 +438,14 @@ def _build_parser() -> _Parser:
     common(p)
     p.add_argument("--t-min", type=float, default=0.05)
     p.add_argument("--t-max", type=float, default=1.0)
+    stats_flag(p)
     p.set_defaults(func=_cmd_conjugate)
 
     p = sub.add_parser("maslov", help="Maslov index of the Jacobi curve over a window")
     common(p)
     p.add_argument("--t-min", type=float, default=0.1)
     p.add_argument("--t-max", type=float, default=1.0)
+    stats_flag(p)
     p.set_defaults(func=_cmd_maslov)
 
     p = sub.add_parser("collide", help="two nearby covectors with equal image")

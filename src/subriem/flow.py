@@ -4,7 +4,9 @@ Integrates the canonical Hamilton equations ``zdot = J grad H`` (``qdot =
 dH/dp, pdot = -dH/dq``) jointly with the linearized flow ``Phidot = S(t) Phi``,
 ``S = J Hess H``, as one augmented system (2n + 4n^2 components) so state and
 fundamental matrix share step selection.  ``J = [[0, I], [-I, 0]]`` in (q, p)
-order has only 0 and +-1 entries, so its products are exact.
+order has only 0 and +-1 entries; it is folded into the coefficients of the
+structure's jet table, which emits ``J grad H`` and ``S`` directly, so one RHS
+evaluation is one table product and one batched ``S @ Phi``.
 The integrator is DOP853 (Hairer, Norsett and Wanner, *Solving ODEs I*,
 II.5-II.6): 12 stages, an error estimate blended from embedded 5th- and
 3rd-order solutions, and a 7th-order continuous extension from 3 extra
@@ -12,8 +14,11 @@ stages.  It takes its natural steps to t_final; each requested sample time is
 interpolated from the accepted step that contains it (samples are never
 landed on), and the extra stages run only on steps that contain samples.  It
 advances a batch of B such systems with shared steps; a single extremal is
-the batch B = 1.  A lookup between samples replays fixed DOP853 steps from the
-last sample before it, split at the recorded step boundaries.
+the batch B = 1, and the step loop reads the tableau from slices taken once.
+After ``_MAX_STEPS`` tries it raises ``IntegrationError`` with the time
+reached and the steps and RHS rows spent.  A lookup between samples replays
+fixed DOP853 steps from the last sample before it, split at the recorded step
+boundaries.
 
 States and fundamental matrices are stored in (q, p) ordering; use
 ``linalg.block_swap`` to pass to the (p, x) ordering of the Jacobi machinery.
@@ -22,13 +27,14 @@ States and fundamental matrices are stored in (q, p) ordering; use
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import (DimensionMismatchError, IntegrationError,
                      NonFiniteStateError, StepSizeUnderflowError)
-from .linalg import omega_px, omega_qp, symplectic_defect
+from .linalg import omega_qp, symplectic_defect
 from .structure import Structure
 
 DEFAULT_TOL = 1e-10
@@ -138,6 +144,12 @@ _D[:, [0, *range(5, 16)]] = [
      -0.43533456590011143754432175058e+2, 0.96324553959188282948394950600e+2,
      -0.39177261675615439165231486172e+2, -0.14972683625798562581422125276e+3]]
 
+# the tableau as the stage loop reads it, sliced once: stage s's node as a
+# float, its weights over stages 0..s-1, and the error weights of stages 0..11
+_NODES = [float(c) for c in _C]
+_WEIGHTS = [_A[s, :s] for s in range(16)]
+_ERR5, _ERR3 = _E5[:12], _E3[:12]
+
 _MAX_STEPS = 1_000_000
 _EPS = np.finfo(float).eps
 
@@ -169,20 +181,27 @@ class IntegrationStats(NamedTuple):
     def h_max(self) -> float:
         return float(np.diff(self.boundaries).max())
 
+    def summary(self) -> dict:
+        """The cost figures, as the CLI's ``--stats`` prints them."""
+        return {"rhs_rows": self.rhs_rows, "accepted": self.accepted,
+                "rejected": self.rejected, "h_min": self.h_min, "h_max": self.h_max,
+                "max_error": self.max_error}
+
 
 def _fill_stages(rhs, t, y: np.ndarray, h, k: np.ndarray, stages: range) -> None:
     """Evaluate the given stages of a DOP853 step of size ``h`` (a scalar, or
     a (B, 1) column of per-row sizes) from ``y`` (B, D) into the stage buffer
     ``k`` (stage 0, f(y), already in place)."""
-    kf = k.reshape(len(k), -1)          # stage combinations as coeffs @ kf
+    kf = k.reshape(len(k), -1)          # stage combinations as weights . kf
+    shape = y.shape
     for s in stages:
-        k[s] = rhs(t + _C[s] * h, y + h * (_A[s, :s] @ kf[:s]).reshape(y.shape))
+        k[s] = rhs(t + _NODES[s] * h, y + h * _WEIGHTS[s].dot(kf[:s]).reshape(shape))
 
 
 def _step(rhs, t, y: np.ndarray, h, k: np.ndarray) -> np.ndarray:
     """Stages 1..11 of one DOP853 step; returns the 8th-order solution at t + h."""
     _fill_stages(rhs, t, y, h, k, range(1, 12))
-    return y + h * (_B @ k.reshape(len(k), -1)[:12]).reshape(y.shape)
+    return y + h * _B.dot(k.reshape(len(k), -1)[:12]).reshape(y.shape)
 
 
 def _dense(rhs, t: float, y: np.ndarray, y_new: np.ndarray, h: float,
@@ -194,11 +213,12 @@ def _dense(rhs, t: float, y: np.ndarray, y_new: np.ndarray, h: float,
     _fill_stages(rhs, t, y, h, k, range(13, 16))
     dy = y_new - y
     coef = [dy, h * k[0] - dy, 2 * dy - h * (k[12] + k[0]),
-            *(h * (_D @ k.reshape(16, -1)).reshape((4,) + y.shape))]
+            *(h * _D.dot(k.reshape(16, -1)).reshape((4,) + y.shape))]
     x = x[None, :, None]
+    rest = 1 - x
     out[...] = coef[6][:, None]
     for i in range(5, -1, -1):
-        out *= x if i % 2 else 1 - x
+        out *= x if i % 2 else rest
         out += coef[i][:, None]
     out *= x
     out += y[:, None]
@@ -241,7 +261,9 @@ def _dop853(rhs, y0: np.ndarray, samples: np.ndarray, rtol: float,
     calls, rejected, retry, max_err = 2, 0, False, 0.0
     bounds = [0.0]
     k = np.empty((16, b, d))
-    kf = k.reshape(16, -1)
+    k12 = k.reshape(16, -1)[:12]        # the stages the error estimators weigh
+    abs_y = np.abs(y)
+    grid = samples.tolist()             # bisect on a list beats searchsorted per step
     ti = 1                              # next sample to fill
     for _ in range(_MAX_STEPS):
         h_floor = 16 * _EPS * max(t, 1.0)
@@ -255,17 +277,18 @@ def _dop853(rhs, y0: np.ndarray, samples: np.ndarray, rtol: float,
         k[0] = f
         y_new = _step(rhs, t, y, h, k)
         calls += 11
-        sc = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
-        e5 = (_E5[:12] @ kf[:12]).reshape(b, d) / sc
-        e3 = (_E3[:12] @ kf[:12]).reshape(b, d) / sc
+        abs_new = np.abs(y_new)
+        sc = atol + rtol * np.maximum(abs_y, abs_new)
+        e5 = _ERR5.dot(k12).reshape(b, d) / sc
+        e3 = _ERR3.dot(k12).reshape(b, d) / sc
         n5 = np.einsum("bd,bd->b", e5, e5)
         n3 = np.einsum("bd,bd->b", e3, e3)
-        err = float(h * np.max(n5 / np.sqrt(d * np.maximum(n5 + 0.01 * n3, 1e-300))))
+        err = float(h * np.maximum.reduce(n5 / np.sqrt(d * np.maximum(n5 + 0.01 * n3, 1e-300))))
         finite = math.isfinite(err)
         if finite and err <= 1.0:
             k[12] = rhs(t + h, y_new)
             calls += 1
-            finite = bool(np.isfinite(k[12]).all())
+            finite = bool(np.logical_and.reduce(np.isfinite(k[12]), axis=None))
         if not finite:
             h *= 0.25
             rejected += 1
@@ -280,12 +303,13 @@ def _dop853(rhs, y0: np.ndarray, samples: np.ndarray, rtol: float,
             continue
 
         t_new = t_end if last else t + h
-        tj = len(samples) if last else int(np.searchsorted(samples, t_new, side="right"))
-        inside = ti + int(np.searchsorted(samples[ti:tj], t_new))   # samples before t_new
+        tj = len(grid) if last else bisect_right(grid, t_new)
+        inside = bisect_left(grid, t_new, ti, tj)       # samples before t_new
         if inside > ti:
             _dense(rhs, t, y, y_new, h, k, (samples[ti:inside] - t) / h, out[:, ti:inside])
             calls += 3
-        out[:, inside:tj] = y_new[:, None]
+        if tj > inside:
+            out[:, inside:tj] = y_new[:, None]
         ti = tj
         bounds.append(t_new)
         max_err = max(max_err, err)
@@ -293,8 +317,11 @@ def _dop853(rhs, y0: np.ndarray, samples: np.ndarray, rtol: float,
             return out, IntegrationStats(calls * b, rejected, max_err, np.array(bounds))
         fac = 10.0 if err == 0 else min(10.0, 0.9 * err ** -0.125)
         h *= min(fac, 1.0) if retry else fac
-        t, y, f, retry = t_new, y_new, k[12].copy(), False
-    raise IntegrationError("step budget exhausted")
+        t, y, abs_y, f, retry = t_new, y_new, abs_new, k[12].copy(), False
+    raise IntegrationError(
+        f"step budget of {_MAX_STEPS} steps exhausted at t = {t:.6g} of t_final = "
+        f"{t_end:.6g}: {len(bounds) - 1} accepted and {rejected} rejected steps, "
+        f"{calls * b} RHS rows")
 
 
 def _fixed_steps(rhs, y: np.ndarray, t0: np.ndarray, t1: np.ndarray,
@@ -320,19 +347,17 @@ def _fixed_steps(rhs, y: np.ndarray, t0: np.ndarray, t1: np.ndarray,
 
 def _augmented_rhs(struct: Structure):
     """Hamilton's equations plus the variational equation on (B, 2n + 4n^2) rows:
-    ``z' = J grad H`` and ``Phi' = S Phi`` with ``S = J Hess H``.  J has only
-    0 and +-1 entries, so both products with it are exact."""
+    ``z' = J grad H`` and ``Phi' = S Phi`` with ``S = J Hess H``.  The jet
+    table emits both J grad H and S (J folded into its exact coefficients),
+    so a call is one table product and one batched matmul."""
     n2 = 2 * struct.n
-    j_mat = omega_px(struct.n)     # J = [[0, I], [-I, 0]] in (q, p) order
-    j_tr = j_mat.T.copy()
 
     def rhs(t, y):
         b = y.shape[0]
-        _, grad, hess = struct.jet_raw_batch(y[:, :n2])
+        _, field, s_mat = struct.jet_raw_batch(y[:, :n2])
         dy = np.empty_like(y)
-        np.matmul(grad, j_tr, out=dy[:, :n2])
-        np.matmul(j_mat @ hess, y[:, n2:].reshape(b, n2, n2),
-                  out=dy[:, n2:].reshape(b, n2, n2))
+        dy[:, :n2] = field
+        np.matmul(s_mat, y[:, n2:].reshape(b, n2, n2), out=dy[:, n2:].reshape(b, n2, n2))
         return dy
 
     return rhs
@@ -547,6 +572,6 @@ def check_constant_speed(traj: ExtremalTrajectory) -> tuple[float, float]:
     which is <p, dH/dp> because H is quadratic in p.
     """
     n = traj.n
-    values, grad, _ = traj.structure.jet_raw_batch(traj.states)
-    speeds = np.einsum("ti,ti->t", traj.states[:, n:], grad[:, n:])
+    values, field, _ = traj.structure.jet_raw_batch(traj.states)
+    speeds = np.einsum("ti,ti->t", traj.states[:, n:], field[:, :n])     # <p, dH/dp>
     return _relative_drift(values), float(np.max(np.abs(speeds - 2.0 * values[0])))

@@ -50,7 +50,7 @@ from .errors import (AmbiguousRankError, CrossingEndpointError,
                      SubriemError, UnresolvedCrossingError,
                      ZeroHamiltonianError)
 # d_exp is unused here but kept importable: the benchmark's tracer binds maslov.d_exp
-from .flow import (ExtremalTrajectory, d_exp, integrate_extremal,
+from .flow import (ExtremalTrajectory, IntegrationStats, d_exp, integrate_extremal,
                    integrate_extremal_batch, lookup)
 from .linalg import (RANK_REL_TOL, block_swap, numerical_rank, omega_px,
                      rank_decisions, rank_refusal, rank_split)
@@ -219,8 +219,7 @@ class JacobiCurveSamples:
         moves as -Phi^{-1} S [I; 0] and the forward curve as S Phi [I; 0]."""
         states, phis = lookup(self.trajs, rays, ts)
         n = self.traj.n
-        _, _, hess = self.traj.structure.jet_raw_batch(states)
-        s_px = block_swap(omega_px(n) @ hess)
+        s_px = block_swap(self.traj.structure.jet_raw_batch(states)[2])
         frames = _curve_frames(self.kind, phis)
         if self.kind == "jacobi":
             return frames, -_sympl_inverse(block_swap(phis)) @ s_px[..., :n]
@@ -587,11 +586,11 @@ def _maslov_count(reports: list[CrossingReport]) -> tuple[int, int]:
     return total, index
 
 
-def count_conjugate_on_ray(struct: Structure, point, covector, r: float,
-                           s_end: float, tol: float = 1e-10) -> list[CrossingReport]:
+def count_conjugate_on_ray(struct: Structure, point, covector, r: float, s_end: float,
+                           tol: float = 1e-10) -> tuple[list[CrossingReport], IntegrationStats]:
     """Every conjugate time in (r, s_end) along the ray through ``covector``,
     with multiplicities, located as crossings of the Jacobi curve with the
-    vertical space.
+    vertical space; returned with the cost record of the one integration.
 
     Requires non-conjugate window endpoints and a covector off the zero level
     of H.  Consistency of the Maslov count (-index = total multiplicity) is
@@ -606,7 +605,7 @@ def count_conjugate_on_ray(struct: Structure, point, covector, r: float,
     curve = JacobiCurveSamples.sample(struct, traj, "jacobi", traj.ts)
     reports = locate_crossings(curve, vertical_frame(struct.n), r, s_end)
     _maslov_count(reports)
-    return reports
+    return reports, traj.stats
 
 
 class ContinuityReport(NamedTuple):

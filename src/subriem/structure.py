@@ -26,6 +26,10 @@ from .errors import DimensionMismatchError
 
 Term = tuple[tuple[int, ...], float]
 
+#: the jet table's column count is a multiple of this (see ``_JetTable``); it
+#: covers the register blocks (4 to 16 doubles) of the usual BLAS kernels
+_COLUMN_BLOCK = 16
+
 
 def _integral(value, what: str) -> int:
     """``value`` as an int; a float with a fractional part (or a non-finite
@@ -134,56 +138,73 @@ class _JetTable:
 
     ``H = 1/2 sum_k h_k^2`` is expanded into one polynomial in the 2n phase
     variables and differentiated exactly.  The table's columns are the momenta
-    h_1..h_m, H, the gradient dH/dz_j and one polynomial d^2H/dz_j dz_l per
-    pair l >= j, which fills both Hessian entries, so the Hessian is exactly
-    symmetric.  Every column is a coefficient vector over one shared list of
-    monomials, so all of them come out of one matrix product at any batch size.
+    h_1..h_m, H, the Hamiltonian field ``J grad H`` (2n) and ``S = J Hess H``
+    (4n^2, row-major), with ``J = [[0, I], [-I, 0]]`` in (q, p) order folded
+    in: J only permutes and negates, so every entry of J grad H is +-dH/dz_j
+    and every entry of S is +-d^2H/dz_j dz_l, with exactly negated
+    coefficients.  Both entries of a Hessian pair take the one polynomial
+    d^2H/dz_j dz_l (l >= j), up to sign, and round alike (see the padding
+    below), so ``-J S`` is exactly symmetric.  Every column is a coefficient
+    vector over one shared list of monomials, so all of them come out of one
+    matrix product at any batch size, and each output is a view of it.
     """
 
     def __init__(self, struct: "Structure"):
-        d = 2 * struct.n
+        n, d = struct.n, 2 * struct.n
         momenta = [_momentum_polynomial(field) for field in struct.fields]
         ham = 0.5 * sum((h * h for h in momenta), SparsePolynomial(d, ()))
         grad = [ham.diff(j) for j in range(d)]
-        pairs = [(j, l) for j in range(d) for l in range(j, d)]
-        columns = momenta + [ham] + grad + [grad[j].diff(l) for j, l in pairs]
+        hess = {(j, l): grad[j].diff(l) for j in range(d) for l in range(j, d)}
+        # row i of J: +e_{n+i} for i < n, -e_{i-n} for i >= n
+        j_rows = [(n + i, 1.0) for i in range(n)] + [(i, -1.0) for i in range(n)]
+        columns = ([(poly, 1.0) for poly in momenta + [ham]]
+                   + [(grad[j], sign) for j, sign in j_rows]
+                   + [(hess[min(j, l), max(j, l)], sign) for j, sign in j_rows
+                      for l in range(d)])
 
-        monomials = sorted({expo for poly in columns for expo, _ in poly.terms})
+        monomials = sorted({expo for poly, _ in columns for expo, _ in poly.terms})
         row_of = {expo: r for r, expo in enumerate(monomials)}
-        self.coefs = np.zeros((len(monomials), len(columns)))
-        for col, poly in enumerate(columns):
+        # zero columns pad the table to a multiple of _COLUMN_BLOCK, so that no
+        # column falls into a BLAS kernel's remainder loop: every column is
+        # then summed by the same code, and the two entries of a Hessian pair
+        # (equal or negated coefficients) round alike
+        width = -(-len(columns) // _COLUMN_BLOCK) * _COLUMN_BLOCK
+        self.coefs = np.zeros((len(monomials), width))
+        for col, (poly, sign) in enumerate(columns):
             for expo, coef in poly.terms:
-                self.coefs[row_of[expo], col] = coef
-        self.top = max((max(expo) for expo in monomials), default=0)
-        # monomial r is the product over w of powers.reshape(B, -1)[:, gather[w, r]],
-        # where powers[:, e, j] = z_j^e; entry 0 (z_0^0 = 1) pads the short
-        # monomials, and a constant monomial is one such padding factor
+                self.coefs[row_of[expo], col] = sign * coef
+        top = max((max(expo) for expo in monomials), default=0)
+        # monomial r is the product over w of powers.reshape(-1, B)[gather[w, r]],
+        # where powers[e, j] = z_j^e (batch last); entry 0 (z_0^0 = 1) pads the
+        # short monomials, and a constant monomial is one such padding factor
         factors = [[e * d + j for j, e in enumerate(expo) if e] for expo in monomials]
-        width = max([1, *map(len, factors)])
-        self.gather = np.array([f + [0] * (width - len(f)) for f in factors],
-                               dtype=np.int64).reshape(len(monomials), width).T.copy()
-        m = struct.m
-        hess_cols = np.empty((d, d), dtype=np.int64)
-        for col, (j, l) in enumerate(pairs, start=m + 1 + d):
-            hess_cols[j, l] = hess_cols[l, j] = col
-        self.hess_cols = hess_cols.ravel()
-        self.m, self.d = m, d
+        most = max([1, *map(len, factors)])
+        self.gather = np.array([f + [0] * (most - len(f)) for f in factors],
+                               dtype=np.int64).reshape(len(monomials), most).T.copy()
+        self.exponents = max(top, 1) + 1
+        self.m, self.d = struct.m, d
 
-    def evaluate(self, z: np.ndarray):
-        """Momenta (B, m), H (B,), gradient (B, 2n) and Hessian (B, 2n, 2n) at
-        the rows of ``z`` (B, 2n)."""
+    def evaluate(self, z: np.ndarray) -> np.ndarray:
+        """Every column at the rows of ``z`` (B, 2n), as one (B, columns) array.
+
+        The batch is the last axis of the power table and of the gathered
+        factors, so each multiply, and the one reduce over the factors, runs
+        over whole rows of B at every batch size."""
+        powers = np.empty((self.exponents, self.d, z.shape[0]))
+        powers[0] = 1.0
+        powers[1] = z.T
+        for e in range(2, self.exponents):
+            np.multiply(powers[e - 1], powers[1], out=powers[e])
+        factors = powers.reshape(-1, z.shape[0]).take(self.gather, axis=0)
+        return np.multiply.reduce(factors, axis=0).T.dot(self.coefs)
+
+    def jet(self, z: np.ndarray):
+        """H (B,), the field J grad H (B, 2n) and S = J Hess H (B, 2n, 2n) at
+        the rows of ``z``, as views of one ``evaluate``."""
         b, d, m = z.shape[0], self.d, self.m
-        powers = np.empty((b, self.top + 1, d))
-        powers[:, 0] = 1.0
-        for e in range(1, self.top + 1):
-            np.multiply(powers[:, e - 1], z, out=powers[:, e])
-        gathered = powers.reshape(b, -1)[:, self.gather]       # (B, width, R)
-        monos = gathered[:, 0]
-        for w in range(1, gathered.shape[1]):
-            monos *= gathered[:, w]
-        flat = monos @ self.coefs
-        return (flat[:, :m], flat[:, m], flat[:, m + 1:m + 1 + d],
-                flat.take(self.hess_cols, axis=1).reshape(b, d, d))
+        flat = self.evaluate(z)
+        return (flat[:, m], flat[:, m + 1:m + 1 + d],
+                flat[:, m + 1 + d:m + 1 + d + d * d].reshape(b, d, d))
 
 
 @dataclass(frozen=True)
@@ -213,7 +234,7 @@ class Structure:
 
     def hamiltonian_raw(self, q: np.ndarray, p: np.ndarray) -> float:
         """H = 1/2 sum_k h_k^2 at (q, p), from the momenta h_k; always >= 0."""
-        h = self._table.evaluate(np.concatenate([q, p])[None])[0][0]
+        h = self._table.evaluate(np.concatenate([q, p])[None])[0, :self.m]
         return 0.5 * float(h @ h)
 
     def jet_raw(self, q: np.ndarray, p: np.ndarray):
@@ -221,20 +242,25 @@ class Structure:
 
         Returns ``(value, gq, gp, hqq, hqp, hpp)`` with hqq, hpp exactly
         symmetric; the full Hessian in (q, p) order is
-        ``[[hqq, hqp], [hqp.T, hpp]]``.
+        ``[[hqq, hqp], [hqp.T, hpp]]``.  They are read back exactly off the
+        folded table: grad H = -J (J grad H) and Hess H = -J S.
         """
-        _, values, grad, hess = self._table.evaluate(np.concatenate([q, p])[None])
+        values, field, s_mat = self._table.jet(np.concatenate([q, p])[None])
         n = self.n
-        return (float(values[0]), grad[0, :n], grad[0, n:],
-                hess[0, :n, :n], hess[0, :n, n:], hess[0, n:, n:])
+        return (float(values[0]), -field[0, n:], field[0, :n],
+                -s_mat[0, n:, :n], -s_mat[0, n:, n:], s_mat[0, :n, n:])
 
     def jet_raw_batch(self, z: np.ndarray):
         """Batched Hamiltonian jet over the (B, 2n) phase rows z = (q, p).
 
-        Returns ``(values (B,), grad (B, 2n), hess (B, 2n, 2n))`` in (q, p)
-        order, each Hessian exactly symmetric; ``z`` may be a strided view.
+        Returns ``(values (B,), field (B, 2n), S (B, 2n, 2n))`` in (q, p)
+        order: H, the Hamiltonian field ``J grad H = (dH/dp, -dH/dq)`` and
+        ``S = J Hess H``, the matrix of the variational equation, with
+        ``J = [[0, I], [-I, 0]]``.  J is folded into the monomial table, so
+        both are exact and ``-J S`` is the exactly symmetric Hessian.  The
+        arrays are views of one matrix product; ``z`` may be a strided view.
         """
-        return self._table.evaluate(z)[1:]
+        return self._table.jet(z)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from subriem import flow
 from subriem.cli import main
+from subriem.errors import IntegrationError
+from subriem.maslov import _scan_grid, count_conjugate_on_ray
 
 
 def run(capsys, *argv):
@@ -300,6 +302,47 @@ def test_non_finite_span_is_config_error(capsys, cmd, t_max):
     assert code == 1
     assert out == ""
     assert "positive" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["geodesic", "--covector", "1,0,7", "--samples", "9"],
+    ["conjugate", "--covector", "1,0,13", "--format", "json"],
+    ["maslov", "--covector", "0.7,-0.4,13", "--format", "csv"],
+], ids=lambda argv: argv[0])
+def test_stats_flag_writes_cost_record_to_stderr(capsys, heis, argv):
+    code, out, err = run(capsys, *argv)
+    code_stats, out_stats, err_stats = run(capsys, *argv, "--stats")
+    assert code == code_stats == 0
+    assert out_stats == out and err == ""
+    assert err_stats.count("\n") == 1
+    cov = np.array([float(v) for v in argv[2].split(",")])
+    if argv[0] == "geodesic":
+        stats = flow.integrate_extremal(heis, np.zeros(3), cov, 1.0, samples=9).stats
+    else:
+        t_min = 0.05 if argv[0] == "conjugate" else 0.1
+        stats = count_conjugate_on_ray(heis, np.zeros(3), cov, t_min, 1.0)[1]
+    assert json.loads(err_stats) == {
+        "rhs_rows": stats.rhs_rows, "accepted": stats.accepted, "rejected": stats.rejected,
+        "h_min": stats.h_min, "h_max": stats.h_max, "max_error": stats.max_error}
+
+
+def test_stats_flag_without_integration(capsys):
+    code, _, err = run(capsys, "geodesic", "--covector", "0,0,0", "--stats")
+    assert code == 0
+    assert json.loads(err) == {"rhs_rows": 0, "accepted": 0, "rejected": 0,
+                               "h_min": None, "h_max": None, "max_error": 0.0}
+
+
+def test_step_budget_exhaustion_exits_two(capsys, heis, monkeypatch):
+    monkeypatch.setattr(flow, "_MAX_STEPS", 5)
+    with pytest.raises(IntegrationError) as exc:
+        flow.integrate_extremal(heis, np.zeros(3), np.array([1.0, 0.0, 13.0]), 1.0,
+                                samples=_scan_grid(0.05, 1.0))
+    assert str(exc.value).startswith("step budget of 5 steps exhausted at t = ")
+    code, out, err = run(capsys, "conjugate", "--covector", "1,0,13", "--stats")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: integration failure: {exc.value}\n"
 
 
 def _parses(text: str) -> bool:

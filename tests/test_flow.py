@@ -198,30 +198,33 @@ def test_batch_matches_single_integration(heis):
 
 def _reference_rhs(struct, y):
     """Hamilton's equations plus Phi' = S Phi with S = J Hess H assembled block
-    by block from the jet: [[H_pq, H_pp], [-H_qq, -H_qp]]."""
-    n, b = struct.n, y.shape[0]
-    _, grad, hess = struct.jet_raw_batch(y[:, :2 * n])
-    gq, gp = grad[:, :n], grad[:, n:]
-    hqq, hqp, hpp = hess[:, :n, :n], hess[:, :n, n:], hess[:, n:, n:]
-    s_mat = np.empty((b, 2 * n, 2 * n))
-    s_mat[:, :n, :n] = hqp.transpose(0, 2, 1)
-    s_mat[:, :n, n:] = hpp
-    np.negative(hqq, out=s_mat[:, n:, :n])
-    np.negative(hqp, out=s_mat[:, n:, n:])
+    by block, row by row, from the scalar jet ``Structure.jet_raw``:
+    z' = (H_p, -H_q) and S = [[H_pq, H_pp], [-H_qq, -H_qp]]."""
+    n = struct.n
     dy = np.empty_like(y)
-    dy[:, :n] = gp
-    np.negative(gq, out=dy[:, n:2 * n])
-    dy[:, 2 * n:] = (s_mat @ y[:, 2 * n:].reshape(b, 2 * n, 2 * n)).reshape(b, -1)
+    for row, out in zip(y, dy):
+        _, gq, gp, hqq, hqp, hpp = struct.jet_raw(row[:n], row[n:2 * n])
+        s_mat = np.block([[hqp.T, hpp], [-hqq, -hqp]])
+        out[:n] = gp
+        out[n:2 * n] = -gq
+        out[2 * n:] = (s_mat @ row[2 * n:].reshape(2 * n, 2 * n)).ravel()
     return dy
 
 
 @pytest.mark.parametrize("batch", [1, 7])
 def test_augmented_rhs_matches_block_assembly_bitwise(heis, quadratic, batch):
-    # the products with J only permute and negate, so they are exact
+    # J folded into the jet table only permutes and negates, so the RHS equals
+    # the block assembly from the scalar jet bit for bit.  One row runs the
+    # scalar jet's own table product.  A batch may sum that product in another
+    # order, so its rows are multiples of 1/8 and its structures those with
+    # dyadic coefficients: every product and sum is then exact.
     rng = np.random.default_rng(8)
-    for struct in (heis, quadratic, load_structure(str(ENGEL_FILE))):
+    engel = load_structure(str(ENGEL_FILE))
+    for struct in (heis, quadratic, engel) if batch == 1 else (heis, engel):
         d = 2 * struct.n
         y = rng.uniform(-2, 2, (batch, d + d * d))
+        if batch > 1:
+            y = np.round(8 * y) / 8
         assert np.array_equal(_augmented_rhs(struct)(0.0, y), _reference_rhs(struct, y))
 
 
@@ -247,6 +250,33 @@ def test_scan_integration_jet_rows_bounded(heis, monkeypatch):
                               samples=_scan_grid(0.05, 1.0))
     assert sum(rows) <= 1_500
     assert traj.stats.rhs_rows == sum(rows)
+
+
+def test_engel_scan_integration_jet_rows_bounded(monkeypatch):
+    # the same gate on R^4, where the jet's Hessian has q-dependent terms:
+    # 1,698 rows (108 accepted and 8 rejected steps) at the time of writing
+    engel = load_structure(str(ENGEL_FILE))
+    rows = _count_jet_rows(monkeypatch)
+    traj = integrate_extremal(engel, np.zeros(4), np.array([1.0, 0.4, -2.0, 80.0]), 1.0,
+                              samples=_scan_grid(0.05, 1.0))
+    assert sum(rows) <= 1_800
+    assert traj.stats.rhs_rows == sum(rows)
+
+
+def test_step_budget_error_reports_progress(heis, monkeypatch):
+    # five steps of (1, 0, 13), none rejected: the message gives where the
+    # integration stopped and what it had spent
+    cov = np.array([1.0, 0.0, 13.0])
+    full = integrate_extremal(heis, np.zeros(3), cov, 1.0, samples=9).stats
+    assert full.rejected == 0
+    rows = _count_jet_rows(monkeypatch)
+    monkeypatch.setattr(flow, "_MAX_STEPS", 5)
+    with pytest.raises(IntegrationError) as exc:
+        integrate_extremal(heis, np.zeros(3), cov, 1.0, samples=9)
+    assert str(exc.value) == (
+        f"step budget of 5 steps exhausted at t = {full.boundaries[5]:.6g} of t_final = 1: "
+        f"5 accepted and 0 rejected steps, {sum(rows)} RHS rows")
+    assert 2 + 12 * 5 <= sum(rows) <= 2 + 15 * 5
 
 
 def test_dop853_tableau_matches_reference():

@@ -256,8 +256,8 @@ def test_classification_agrees_with_ray_counts(heis):
     from subriem.maslov import count_conjugate_on_ray
 
     for u0, al in ((0.7, 7.5), (1.3, 9.5), (0.4, 13.2)):
-        reports = count_conjugate_on_ray(heis, np.zeros(3), np.array([u0, 0.0, al]),
-                                         0.02, 1.0)
+        reports, _ = count_conjugate_on_ray(heis, np.zeros(3), np.array([u0, 0.0, al]),
+                                            0.02, 1.0)
         expected = [r.alpha / al for r in heis_conjugate_roots(al) if r.alpha / al > 0.02]
         assert len(reports) == len(expected)
         for rep, t_expected in zip(reports, expected):

@@ -164,8 +164,8 @@ def test_velocity_matches_finite_difference_stencil(heis, name):
 def test_crossing_forms_match_stencil_forms(heis):
     # the exact form against the form built on the stencil derivative, at the
     # three crossings of (0.7, -0.4, 13) on the Jacobi and the forward curve
-    reports = count_conjugate_on_ray(heis, np.zeros(3), np.array([0.7, -0.4, 13.0]),
-                                     0.05, 1.0)
+    reports, _ = count_conjugate_on_ray(heis, np.zeros(3), np.array([0.7, -0.4, 13.0]),
+                                        0.05, 1.0)
     traj = integrate_extremal(heis, np.zeros(3), np.array([0.7, -0.4, 13.0]), 1.0,
                               1e-10, samples=_scan_grid(0.05, 1.0))
     l0 = vertical_frame(3)
@@ -442,8 +442,8 @@ def test_rank_certificate_inequalities():
 
 def test_count_conjugate_scaled_ray(heis):
     alpha = TWO_PI + 0.3
-    reports = count_conjugate_on_ray(heis, np.zeros(3), np.array([1.0, 0, alpha]),
-                                     0.05, 1.0)
+    reports, _ = count_conjugate_on_ray(heis, np.zeros(3), np.array([1.0, 0, alpha]),
+                                        0.05, 1.0)
     assert len(reports) == 1
     assert reports[0].t == pytest.approx(TWO_PI / alpha, abs=1e-12)
     assert reports[0].multiplicity == 1
@@ -451,8 +451,8 @@ def test_count_conjugate_scaled_ray(heis):
 
 
 def test_count_conjugate_three_roots_below_thirteen(heis):
-    reports = count_conjugate_on_ray(heis, np.zeros(3), np.array([1.0, 0, 13.0]),
-                                     0.05, 1.0)
+    reports, _ = count_conjugate_on_ray(heis, np.zeros(3), np.array([1.0, 0, 13.0]),
+                                        0.05, 1.0)
     times = [rep.t for rep in reports]
     expected = [TWO_PI / 13, ALPHA_STAR / 13, 4 * math.pi / 13]
     assert len(reports) == 3
@@ -489,7 +489,7 @@ def test_refinement_work_per_crossing(heis, monkeypatch, name, covector, r, s):
 
     monkeypatch.setattr(flow, "_fixed_steps", counted)
     monkeypatch.setattr(maslov, "_refine", refine)
-    reports = count_conjugate_on_ray(struct, np.zeros(struct.n), np.array(covector), r, s)
+    reports, _ = count_conjugate_on_ray(struct, np.zeros(struct.n), np.array(covector), r, s)
     assert len(reports) >= 2
     _assert_brackets(reports, r, s)
     assert 0 < sum(replayed) <= 6 * len(reports)
@@ -501,7 +501,7 @@ def test_reported_crossings_match_exponential_singularities(heis):
     from subriem.flow import d_exp
 
     lam = np.array([1.0, 0.0, 13.0])
-    reports = count_conjugate_on_ray(heis, np.zeros(3), lam, 0.05, 1.0)
+    reports, _ = count_conjugate_on_ray(heis, np.zeros(3), lam, 0.05, 1.0)
     for rep in reports:
         svals = np.linalg.svd(d_exp(heis, np.zeros(3), rep.t * lam), compute_uv=False)
         assert np.sum(svals < 1e-8 * svals[0]) == rep.multiplicity
@@ -514,7 +514,7 @@ def test_reported_crossings_match_exponential_singularities(heis):
 
 def test_count_conjugate_empty_for_euclidean(eucl3):
     assert count_conjugate_on_ray(eucl3, np.zeros(3), np.array([1.0, 0.3, -0.2]),
-                                  0.1, 1.0) == []
+                                  0.1, 1.0)[0] == []
 
 
 def test_count_conjugate_rejects_zero_hamiltonian(heis):

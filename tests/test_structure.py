@@ -1,12 +1,16 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from subriem.errors import DimensionMismatchError
+from subriem.linalg import omega_px
 from subriem.structure import (PolyVectorField, SparsePolynomial, Structure,
                                load_structure, make_structure, structure_from_dict)
+
+ENGEL_FILE = Path(__file__).resolve().parents[1] / "bench" / "engel.json"
 
 # exclude magnitudes whose squares underflow, which would break the
 # "H = 0 iff all momenta vanish" equivalence for spurious float reasons
@@ -19,7 +23,7 @@ coords = st.one_of(
 
 def momenta(struct, q, p):
     """The momentum columns h_1..h_m of the structure's jet table at (q, p)."""
-    return struct._table.evaluate(np.concatenate([q, p]).astype(float)[None])[0][0]
+    return struct._table.evaluate(np.concatenate([q, p]).astype(float)[None])[0, :struct.m]
 
 
 def test_momenta_at_origin(heis):
@@ -56,7 +60,8 @@ def test_hamiltonian_nonnegative_and_zero_iff_momenta_vanish(q, p):
 
 
 # Heisenberg fields are affine; the degree-2 ``quadratic`` fields also run the
-# second q-derivative terms of the Hessian.
+# second q-derivative terms of the Hessian.  ``jet_raw_batch`` returns the field
+# J grad H and S = J Hess H, so the finite differences are taken through J.
 
 def test_jet_gradient_matches_finite_differences(heis, quadratic):
     step = 1e-6
@@ -65,29 +70,32 @@ def test_jet_gradient_matches_finite_differences(heis, quadratic):
         n = struct.n
         for _ in range(20):
             z = rng.uniform(-2, 2, 2 * n)
-            _, grad, _ = struct.jet_raw_batch(z[None])
+            _, field, _ = struct.jet_raw_batch(z[None])
+            fd = np.empty(2 * n)
             for i in range(2 * n):
                 dz = np.zeros(2 * n)
                 dz[i] = step
                 plus, minus = struct.jet_raw_batch(np.array([z + dz, z - dz]))[0]
-                fd = (plus - minus) / (2 * step)
-                assert abs(grad[0, i] - fd) <= 1e-6 * max(1.0, abs(fd))
+                fd[i] = (plus - minus) / (2 * step)
+            for got, want in zip(field[0], omega_px(n) @ fd):
+                assert abs(got - want) <= 1e-6 * max(1.0, abs(want))
 
 
 def test_jet_hessian_matches_gradient_differences(heis, quadratic):
+    # S = J Hess H is the derivative of the field J grad H
     step = 1e-6
     for struct in (heis, quadratic):
         rng = np.random.default_rng(2)
         n = struct.n
         for _ in range(10):
             z = rng.uniform(-2, 2, 2 * n)
-            _, _, hess = struct.jet_raw_batch(z[None])
+            _, _, s_mat = struct.jet_raw_batch(z[None])
             for i in range(2 * n):
                 dz = np.zeros(2 * n)
                 dz[i] = step
-                _, (gp, gm), _ = struct.jet_raw_batch(np.array([z + dz, z - dz]))
-                fd = (gp - gm) / (2 * step)
-                assert np.max(np.abs(hess[0, :, i] - fd)) <= 1e-5 * max(1.0, np.max(np.abs(fd)))
+                _, (fp, fm), _ = struct.jet_raw_batch(np.array([z + dz, z - dz]))
+                fd = (fp - fm) / (2 * step)
+                assert np.max(np.abs(s_mat[0, :, i] - fd)) <= 1e-5 * max(1.0, np.max(np.abs(fd)))
 
 
 def test_jet_hessian_exactly_symmetric(heis, quadratic):
@@ -101,6 +109,29 @@ def test_jet_hessian_exactly_symmetric(heis, quadratic):
             assert np.array_equal(hess, hess.T)
 
 
+@pytest.mark.parametrize("name", ["heisenberg", "euclidean:3", "engel", "quadratic"])
+def test_jet_table_folds_j_exactly(name, quadratic):
+    # the field and S are J grad H and J Hess H bit for bit, with grad and Hess
+    # the scalar jet's; -J S is the Hessian and exactly symmetric at any batch
+    if name == "quadratic":
+        struct = quadratic
+    elif name == "engel":
+        struct = load_structure(str(ENGEL_FILE))
+    else:
+        struct = make_structure(name)
+    n = struct.n
+    j_mat = omega_px(n)
+    z = np.random.default_rng(9).uniform(-2, 2, (7, 2 * n))
+    for row in z:
+        _, gq, gp, hqq, hqp, hpp = struct.jet_raw(row[:n], row[n:])
+        _, field, s_mat = struct.jet_raw_batch(row[None])
+        assert np.array_equal(field[0], j_mat @ np.concatenate([gq, gp]))
+        assert np.array_equal(s_mat[0], j_mat @ np.block([[hqq, hqp], [hqp.T, hpp]]))
+    for rows in (z[:1], z):
+        hess = -j_mat @ struct.jet_raw_batch(rows)[2]
+        assert np.array_equal(hess, np.swapaxes(hess, 1, 2))
+
+
 def test_jet_batch_rows_match_single_jet(heis, quadratic):
     for struct in (heis, quadratic):
         rng = np.random.default_rng(6)
@@ -110,14 +141,15 @@ def test_jet_batch_rows_match_single_jet(heis, quadratic):
         assert [a.shape for a in batch] == [(7,), (7, 2 * n), (7, 2 * n, 2 * n)]
         for i in range(7):
             value, gq, gp, hqq, hqp, hpp = struct.jet_raw(z[i, :n], z[i, n:])
-            want = (value, np.concatenate([gq, gp]), np.block([[hqq, hqp], [hqp.T, hpp]]))
+            want = (value, np.concatenate([gp, -gq]),
+                    np.block([[hqp.T, hpp], [-hqq, -hqp]]))
             for got, ref in zip(batch, want):
                 assert np.allclose(got[i], ref, rtol=1e-14, atol=1e-14)
 
 
 def test_jet_gradient_vanishes_at_zero_covector(heis):
-    _, grad, _ = heis.jet_raw_batch(np.array([[0.7, -0.4, 1.2, 0, 0, 0]]))
-    assert np.all(grad == 0)
+    _, field, _ = heis.jet_raw_batch(np.array([[0.7, -0.4, 1.2, 0, 0, 0]]))
+    assert np.all(field == 0)
 
 
 def test_polynomial_canonicalization():
