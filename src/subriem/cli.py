@@ -1,20 +1,24 @@
 """Command-line frontend with machine-readable CSV/JSON output.
 
 Subcommands: geodesic, jacobi, conjugate, maslov, collide, locus, verify.
-All numeric output uses 17 significant digits in JSON and 12 in CSV.
-Exit codes: 0 ok, 1 config error, 2 integration failure, 3 conjugate window
-endpoint, 4 search failure, 5 verification failure.  ``geodesic``,
-``conjugate`` and ``maslov`` take ``--stats``, which writes the integration's
-cost record to stderr as one JSON line and leaves stdout unchanged.
+Each takes only the flags it reads (declared in ``_build_parser``); any other
+flag is a usage error.  ``--format`` defaults to csv for geodesic, jacobi and
+locus and to json for conjugate, maslov and collide.  All numeric output uses
+17 significant digits in JSON and 12 in CSV.  Exit codes: 0 ok, 1 config
+error, 2 integration failure, 3 conjugate window endpoint, 4 search failure,
+5 verification failure.  ``--stats`` writes the integration's cost record to
+stderr as one JSON line and leaves stdout unchanged.  Heisenberg closed forms
+(``conjugate`` class tags, ``collide``) apply to a structure with the
+Heisenberg fields, whatever its name.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
-from contextlib import contextmanager
 
 import numpy as np
 
@@ -25,8 +29,8 @@ from . import verify as verify_mod
 from .errors import (CrossingEndpointError, DimensionMismatchError,
                      IntegrationError, SearchFailureError, SubriemError,
                      ZeroHamiltonianError)
-from .flow import integrate_extremal
-from .structure import Structure, load_structure, make_structure
+from .flow import DEFAULT_TOL, integrate_extremal
+from .structure import Structure, heisenberg_structure, load_structure, make_structure
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -129,7 +133,7 @@ def _parse_range(text: str, name: str) -> tuple[float, float]:
 
 
 def _resolve_structure(args) -> Structure:
-    if getattr(args, "structure_file", None):
+    if args.structure_file:
         try:
             return load_structure(args.structure_file)
         except (OSError, ValueError, KeyError, TypeError, OverflowError,
@@ -147,35 +151,33 @@ def _check_tol(tol: float) -> float:
     return tol
 
 
-@contextmanager
-def _output(args):
-    if getattr(args, "out", None):
+def _write(args, text: str) -> None:
+    """``text`` to the ``--out`` file, or to stdout."""
+    if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            yield fh
+            fh.write(text)
     else:
-        yield sys.stdout
+        sys.stdout.write(text)
 
 
-def _emit_table(args, fh, header: list[str], rows: list[list]) -> None:
-    """Write a table as CSV (default) or as JSON {header, rows}."""
-    if getattr(args, "format", None) == "json":
-        fh.write(_json_dumps({"header": header, "rows": rows}) + "\n")
+def _emit(args, header: list[str], rows: list[list], payload=None) -> None:
+    """Write ``rows`` under ``header`` as CSV, or as JSON: ``payload`` if one
+    is given, else {header, rows}."""
+    if args.format == "json":
+        text = _json_dumps({"header": header, "rows": rows} if payload is None else payload) + "\n"
     else:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(
-                cell if isinstance(cell, str) else
-                str(cell) if isinstance(cell, (int, np.integer)) else
-                CSV_FMT % cell
-                for cell in row) + "\n")
+        text = "".join(",".join(
+            cell if isinstance(cell, str) else
+            str(cell) if isinstance(cell, (int, np.integer)) else
+            CSV_FMT % cell
+            for cell in row) + "\n" for row in [header, *rows])
+    _write(args, text)
 
 
-def _emit_records(args, fh, payload, header: list[str], rows: list[list]) -> None:
-    """Write records as JSON (default) or flattened CSV rows."""
-    if getattr(args, "format", None) == "csv":
-        _emit_table(args, fh, header, rows)
-    else:
-        fh.write(_json_dumps(payload) + "\n")
+def _is_heisenberg(struct: Structure) -> bool:
+    """Whether the Heisenberg closed forms apply: decided by the fields, not
+    by the name, which a structure file may claim."""
+    return struct.fields == heisenberg_structure().fields
 
 
 def _write_stats(args, stats) -> None:
@@ -188,17 +190,14 @@ def _write_stats(args, stats) -> None:
         sys.stderr.write(json.dumps(summary) + "\n")
 
 
-def _point_covector(args, n: int, covector_required: bool = True):
+def _point_covector(args, n: int):
     point = np.zeros(n) if args.point is None else _parse_vector(args.point, "--point")
     if args.covector is None:
-        if covector_required:
-            raise ConfigError("--covector is required")
-        covector = None
-    else:
-        covector = _parse_vector(args.covector, "--covector")
+        raise ConfigError("--covector is required")
+    covector = _parse_vector(args.covector, "--covector")
     if point.shape != (n,):
         raise ConfigError(f"--point must have {n} components")
-    if covector is not None and covector.shape != (n,):
+    if covector.shape != (n,):
         raise ConfigError(f"--covector must have {n} components")
     return point, covector
 
@@ -218,24 +217,18 @@ def _cmd_geodesic(args) -> int:
     if args.phi:
         header += [f"phi_{r+1}_{c+1}" for r in range(2 * n) for c in range(2 * n)]
     if not covector.any():
-        row = [0.0, *point, *covector, 0.0]
-        if args.phi:
-            row += list(np.eye(2 * n).ravel())
-        with _output(args) as fh:
-            _emit_table(args, fh, header, [row])
-        _write_stats(args, None)
-        return EXIT_OK
-    traj = integrate_extremal(struct, point, covector, args.t_max, tol,
-                              samples=args.samples)
-    rows = []
-    for t_val, state, phi in zip(traj.ts, traj.states, traj.phis):
-        row = [t_val, *state, struct.hamiltonian_raw(state[:n], state[n:])]
-        if args.phi:
-            row += list(phi.ravel())
-        rows.append(row)
-    with _output(args) as fh:
-        _emit_table(args, fh, header, rows)
-    _write_stats(args, traj.stats)
+        rows = [[0.0, *point, *covector, 0.0]
+                + (list(np.eye(2 * n).ravel()) if args.phi else [])]
+        stats = None
+    else:
+        traj = integrate_extremal(struct, point, covector, args.t_max, tol,
+                                  samples=args.samples)
+        rows = [[t_val, *state, struct.hamiltonian_raw(state[:n], state[n:])]
+                + (list(phi.ravel()) if args.phi else [])
+                for t_val, state, phi in zip(traj.ts, traj.states, traj.phis)]
+        stats = traj.stats
+    _emit(args, header, rows)
+    _write_stats(args, stats)
     return EXIT_OK
 
 
@@ -254,72 +247,60 @@ def _cmd_jacobi(args) -> int:
     coords = jac.propagate_jacobi(struct, traj, init_p, init_x)
     n = struct.n
     header = ["t"] + [f"p{i+1}" for i in range(n)] + [f"x{i+1}" for i in range(n)]
-    rows = [[t, *p, *x] for t, p, x in zip(coords.ts, coords.ps, coords.xs)]
-    with _output(args) as fh:
-        _emit_table(args, fh, header, rows)
+    _emit(args, header, [[t, *p, *x] for t, p, x in zip(coords.ts, coords.ps, coords.xs)])
     return EXIT_OK
 
 
-def _conjugate_reports(struct, point, covector, t_min, t_max, tol):
-    """Conjugate times in (t_min, t_max) and the integration's record, shared
-    by ``conjugate`` and ``maslov``."""
-    if not 0 < t_min < t_max < np.inf:
-        raise ConfigError("need finite 0 < --t-min < --t-max (t = 0 is always a "
-                          "crossing: the Jacobi curve starts on the vertical)")
-    try:
-        return mas.count_conjugate_on_ray(struct, point, covector, t_min, t_max, tol)
-    except ZeroHamiltonianError:
-        raise ConfigError("zero Hamiltonian: the covector generates a trivial geodesic") from None
-
-
-def _cmd_conjugate(args) -> int:
+def _conjugate_reports(args):
+    """The structure, point and covector of a ``conjugate`` or ``maslov``
+    query, its conjugate times in (--t-min, --t-max) and the integration's
+    record."""
     struct = _resolve_structure(args)
     tol = _check_tol(args.tol)
     point, covector = _point_covector(args, struct.n)
-    reports, stats = _conjugate_reports(struct, point, covector, args.t_min, args.t_max, tol)
-    payload = []
-    for rep in reports:
-        entry = rep.to_json_dict()
-        if struct.name == "heisenberg":
+    if not 0 < args.t_min < args.t_max < np.inf:
+        raise ConfigError("need finite 0 < --t-min < --t-max (t = 0 is always a "
+                          "crossing: the Jacobi curve starts on the vertical)")
+    try:
+        reports, stats = mas.count_conjugate_on_ray(struct, point, covector,
+                                                    args.t_min, args.t_max, tol)
+    except ZeroHamiltonianError:
+        raise ConfigError("zero Hamiltonian: the covector generates a trivial geodesic") from None
+    return struct, point, covector, reports, stats
+
+
+def _cmd_conjugate(args) -> int:
+    struct, point, covector, reports, stats = _conjugate_reports(args)
+    payload = [rep.to_json_dict() for rep in reports]
+    header = ["t", "multiplicity", "signature", "bracket_lo", "bracket_hi"]
+    rows = [[e["t"], e["multiplicity"], e["signature"], *e["bracket"]] for e in payload]
+    if _is_heisenberg(struct):
+        header.append("class")
+        for rep, entry, row in zip(reports, payload, rows):
             hc = heis.HeisCovector(tuple(point), tuple(rep.t * covector))
             entry["class"] = heis.classify_conjugate(hc, tol=1e-6).tag
-        payload.append(entry)
-    header = ["t", "multiplicity", "signature", "bracket_lo", "bracket_hi"]
-    if struct.name == "heisenberg":
-        header.append("class")
-    rows = [[e["t"], e["multiplicity"], e["signature"], e["bracket"][0],
-             e["bracket"][1]] + ([e["class"]] if "class" in e else [])
-            for e in payload]
-    with _output(args) as fh:
-        _emit_records(args, fh, payload, header, rows)
+            row.append(entry["class"])
+    _emit(args, header, rows, payload)
     _write_stats(args, stats)
     return EXIT_OK
 
 
 def _cmd_maslov(args) -> int:
-    struct = _resolve_structure(args)
-    tol = _check_tol(args.tol)
-    point, covector = _point_covector(args, struct.n)
-    reports, stats = _conjugate_reports(struct, point, covector, args.t_min, args.t_max, tol)
-    payload = {
-        "index": sum(rep.signature for rep in reports),
-        "crossings": [rep.to_json_dict() for rep in reports],
-    }
+    _, _, _, reports, stats = _conjugate_reports(args)
+    index = sum(rep.signature for rep in reports)
     header = ["index", "t", "multiplicity", "signature", "bracket_lo", "bracket_hi"]
-    rows = [[payload["index"], rep.t, rep.multiplicity, rep.signature,
-             rep.bracket[0], rep.bracket[1]] for rep in reports]
-    if not rows:
-        rows = [[payload["index"], "", "", "", "", ""]]
-    with _output(args) as fh:
-        _emit_records(args, fh, payload, header, rows)
+    rows = [[index, rep.t, rep.multiplicity, rep.signature, *rep.bracket]
+            for rep in reports] or [[index, "", "", "", "", ""]]
+    _emit(args, header, rows,
+          {"index": index, "crossings": [rep.to_json_dict() for rep in reports]})
     _write_stats(args, stats)
     return EXIT_OK
 
 
 def _cmd_collide(args) -> int:
     struct = _resolve_structure(args)
-    if struct.name != "heisenberg":
-        raise ConfigError("collide is available for the heisenberg structure only")
+    if not _is_heisenberg(struct):
+        raise ConfigError("collide needs the heisenberg structure's fields")
     point, covector = _point_covector(args, struct.n)
     if args.radius is None or args.radius <= 0:
         raise ConfigError("--radius must be a positive number")
@@ -352,8 +333,7 @@ def _cmd_collide(args) -> int:
         else:
             header.append(key)
             row.append(value)
-    with _output(args) as fh:
-        _emit_records(args, fh, payload, header, row and [row])
+    _emit(args, header, [row], payload)
     return EXIT_OK
 
 
@@ -370,8 +350,7 @@ def _cmd_locus(args) -> int:
     a_vals = np.linspace(a_lo, a_hi, na)
     rows = heis.conjugate_locus_rows(u_vals, a_vals, v0=args.v0)
     header = ["u0", "v0", "alpha0", "conjugate", "class", "k1", "k2", "k3"]
-    with _output(args) as fh:
-        _emit_table(args, fh, header, [list(row) for row in rows])
+    _emit(args, header, [list(row) for row in rows])
     return EXIT_OK
 
 
@@ -381,99 +360,80 @@ def _cmd_verify(args) -> int:
                                        tol=_check_tol(args.tol))
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    with _output(args) as fh:
-        for res in results:
-            fh.write(res.line() + "\n")
-        failed = [r for r in results if not r.passed]
-        fh.write(f"{len(results) - len(failed)}/{len(results)} checks passed\n")
+    failed = [r for r in results if not r.passed]
+    _write(args, "".join(res.line() + "\n" for res in results)
+           + f"{len(results) - len(failed)}/{len(results)} checks passed\n")
     return EXIT_OK if not failed else EXIT_VERIFY
 
 
 # ---------------------------------------------------------------------------
 
+#: argparse keywords of every option, by dest; each command sets the defaults
+_OPTIONS = {
+    "structure": {"help": "registry name: heisenberg or euclidean:n"},
+    "structure_file": {"help": "path to a structure JSON file (overrides --structure)"},
+    "point": {"help": "base point, comma separated (default the origin)"},
+    "covector": {"help": "initial covector, comma separated"},
+    "tol": {"type": float, "help": "integrator tolerance in [1e-13, 1e-3]"},
+    "t_min": {"type": float},
+    "t_max": {"type": float},
+    "samples": {"type": int},
+    "phi": {"action": "store_true", "help": "append the fundamental-matrix entries row-major"},
+    "init_p": {"help": "initial frame-derivative coordinates"},
+    "init_x": {"help": "initial value coordinates"},
+    "radius": {"type": float},
+    "grid": {},
+    "u_range": {},
+    "alpha_range": {},
+    "v0": {"type": float},
+    "seed": {"type": int, "help": "seed of the randomized checks"},
+    "out": {"help": "output path (default stdout)"},
+    "format": {"choices": ("csv", "json"), "help": "output format (default %(default)s)"},
+    "stats": {"action": "store_true",
+              "help": "write the integration's cost record (rhs_rows, accepted, rejected, "
+                      "h_min, h_max, max_error) to stderr as one JSON line"},
+}
+
+
+@functools.cache
 def _build_parser() -> _Parser:
+    """The one parser of the process: a parse does not change it."""
     parser = _Parser(prog="subriem",
                      description="Sub-Riemannian geodesics, conjugate points and "
                                  "Maslov indices for polynomial generating families.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, covector=True):
-        p.add_argument("--structure", default="heisenberg",
-                       help="registry name: heisenberg or euclidean:n")
-        p.add_argument("--structure-file", default=None,
-                       help="path to a structure JSON file (overrides --structure)")
-        p.add_argument("--point", default=None, help="base point, comma separated")
-        if covector:
-            p.add_argument("--covector", default=None, help="initial covector, comma separated")
-        p.add_argument("--tol", type=float, default=1e-10,
-                       help="integrator tolerance in [1e-13, 1e-3]")
-        p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--format", choices=("csv", "json"), default=None,
-                       help="output format (each command has a natural default)")
-        p.add_argument("--seed", type=int, default=42, help="seed for randomized scans")
+    def command(name, func, help_text, **defaults):
+        p = sub.add_parser(name, help=help_text)
+        for dest, default in defaults.items():
+            p.add_argument("--" + dest.replace("_", "-"), default=default, **_OPTIONS[dest])
+        p.set_defaults(func=func)
+        return p
 
-    def stats_flag(p):
-        p.add_argument("--stats", action="store_true",
-                       help="write the integration's cost record (rhs_rows, accepted, "
-                            "rejected, h_min, h_max, max_error) to stderr as one JSON line")
-
-    p = sub.add_parser("geodesic", help="integrate one normal geodesic to CSV")
-    common(p)
-    p.add_argument("--t-max", type=float, default=1.0)
-    p.add_argument("--samples", type=int, default=129)
-    p.add_argument("--phi", action="store_true",
-                   help="append the fundamental-matrix entries row-major")
-    stats_flag(p)
-    p.set_defaults(func=_cmd_geodesic)
-
-    p = sub.add_parser("jacobi", help="propagate one Jacobi field to CSV")
-    common(p)
-    p.add_argument("--t-max", type=float, default=1.0)
-    p.add_argument("--samples", type=int, default=129)
-    p.add_argument("--init-p", default=None, help="initial frame-derivative coordinates")
-    p.add_argument("--init-x", default=None, help="initial value coordinates")
-    p.set_defaults(func=_cmd_jacobi)
-
-    p = sub.add_parser("conjugate", help="conjugate times on a ray, as JSON reports")
-    common(p)
-    p.add_argument("--t-min", type=float, default=0.05)
-    p.add_argument("--t-max", type=float, default=1.0)
-    stats_flag(p)
-    p.set_defaults(func=_cmd_conjugate)
-
-    p = sub.add_parser("maslov", help="Maslov index of the Jacobi curve over a window")
-    common(p)
-    p.add_argument("--t-min", type=float, default=0.1)
-    p.add_argument("--t-max", type=float, default=1.0)
-    stats_flag(p)
-    p.set_defaults(func=_cmd_maslov)
-
-    p = sub.add_parser("collide", help="two nearby covectors with equal image")
-    common(p)
-    p.add_argument("--radius", type=float, default=None)
-    p.set_defaults(func=_cmd_collide)
-
-    p = sub.add_parser("locus", help="conjugate-locus classification over a grid, CSV")
-    common(p, covector=False)
-    p.add_argument("--grid", default="40x40")
-    p.add_argument("--u-range", default="0.2:2")
-    p.add_argument("--alpha-range", default="0.25:10")
-    p.add_argument("--v0", type=float, default=0.0)
-    p.set_defaults(func=_cmd_locus)
-
-    p = sub.add_parser("verify", help="run an invariant battery")
-    p.add_argument("suite", help="one of r1, r2, r3, oracle, all")
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--out", default=None)
-    p.add_argument("--seed", type=int, default=42)
-    p.set_defaults(func=_cmd_verify)
-
+    ray = {"structure": "heisenberg", "structure_file": None, "point": None,
+           "covector": None, "tol": DEFAULT_TOL}
+    command("geodesic", _cmd_geodesic, "integrate one normal geodesic to CSV", **ray,
+            t_max=1.0, samples=129, phi=False, stats=False, out=None, format="csv")
+    command("jacobi", _cmd_jacobi, "propagate one Jacobi field to CSV", **ray,
+            t_max=1.0, samples=129, init_p=None, init_x=None, out=None, format="csv")
+    command("conjugate", _cmd_conjugate, "conjugate times on a ray, as JSON reports", **ray,
+            t_min=0.05, t_max=1.0, stats=False, out=None, format="json")
+    command("maslov", _cmd_maslov, "Maslov index of the Jacobi curve over a window", **ray,
+            t_min=0.1, t_max=1.0, stats=False, out=None, format="json")
+    command("collide", _cmd_collide, "two nearby covectors with equal image",
+            structure="heisenberg", structure_file=None, point=None, covector=None,
+            radius=None, out=None, format="json")
+    command("locus", _cmd_locus, "conjugate-locus classification over a grid, CSV",
+            grid="40x40", u_range="0.2:2", alpha_range="0.25:10", v0=0.0, out=None,
+            format="csv")
+    command("verify", _cmd_verify, "run an invariant battery",
+            tol=DEFAULT_TOL, seed=42, out=None).add_argument(
+                "suite", help="one of r1, r2, r3, oracle, all")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ConfigError, ValueError) as exc:

@@ -365,11 +365,17 @@ def _kernel_circle(hc: HeisCovector):
     return center, abs(hc.zeta0)
 
 
+#: largest image gap of a collision pair, and the fold search's budget of exp
+#: evaluations (Newton steps plus backtracking halvings)
+COLLISION_GAP_TOL = 1e-9
+_FOLD_BUDGET = 200
+
+
 def find_collision(hc: HeisCovector, radius: float,
-                   gap_tol: float = 1e-9, max_iter: int = 200,
                    class_tol: float = CONJUGATE_TOL) -> CollisionResult:
     """Two distinct covectors within ``radius`` of a conjugate covector with
-    the same exponential image (gap <= gap_tol, separation >= radius/4).
+    the same exponential image (gap <= COLLISION_GAP_TOL, separation >=
+    radius/4).
 
     C1 covectors lie on a circle of constant |zeta0| and alpha0 = 2 pi k that
     the exponential collapses to one point; two points of the circle are
@@ -402,7 +408,7 @@ def find_collision(hc: HeisCovector, radius: float,
         img1 = heis_exp_point(hc, 1.0)
         img2 = heis_exp_point(HeisCovector(base, tuple(lam2)), 1.0)
         gap = float(np.linalg.norm(img1 - img2))
-        if gap > gap_tol:
+        if gap > COLLISION_GAP_TOL:
             raise SearchFailureError(
                 f"kernel-circle images differ by {gap:.3e} (covector not "
                 "conjugate to working precision)", best_gap=gap)
@@ -428,14 +434,14 @@ def find_collision(hc: HeisCovector, radius: float,
 
     best_gap = float("inf")
     best = None
-    budget = max_iter
+    budget = _FOLD_BUDGET
     while budget > 0:
         lam2 = lam2_of(zeta)
         res = exp_of(lam2) - img1
         gap = float(np.linalg.norm(res))
         if gap < best_gap:
             best_gap, best = gap, (zeta.copy(), lam2.copy())
-        if gap <= min(gap_tol * 1e-3, 1e-12):
+        if gap <= min(COLLISION_GAP_TOL * 1e-3, 1e-12):
             break
         jac_exp = heis_d_exp(HeisCovector(base, tuple(lam2)))
         jac = np.column_stack([jac_exp @ (-a_dir), jac_exp @ t1, jac_exp @ t2])
@@ -459,7 +465,7 @@ def find_collision(hc: HeisCovector, radius: float,
     img2 = exp_of(lam2)
     gap = float(np.linalg.norm(img2 - img1))
     sep = float(np.linalg.norm(lam1 - lam2))
-    if gap > gap_tol or sep < radius / 4 or np.linalg.norm(lam2 - lam0) > radius:
+    if gap > COLLISION_GAP_TOL or sep < radius / 4 or np.linalg.norm(lam2 - lam0) > radius:
         raise SearchFailureError(
             f"fold search did not meet targets (gap {gap:.3e}, separation {sep:.3e})",
             best_gap=gap)
@@ -469,13 +475,13 @@ def find_collision(hc: HeisCovector, radius: float,
 # ---------------------------------------------------------------------------
 # locus scan export
 
-def conjugate_locus_rows(u_values, alpha_values, v0: float = 0.0,
-                         base=(0.0, 0.0, 0.0)) -> list[tuple]:
-    """Rows (u0, v0, alpha0, conjugate, class, k1, k2, k3) over a parameter grid."""
+def conjugate_locus_rows(u_values, alpha_values, v0: float = 0.0) -> list[tuple]:
+    """Rows (u0, v0, alpha0, conjugate, class, k1, k2, k3) over a parameter
+    grid of covectors at the origin."""
     rows = []
     for u0 in u_values:
         for al in alpha_values:
-            hc = HeisCovector(base, (float(u0), v0, float(al)))
+            hc = HeisCovector((0.0, 0.0, 0.0), (float(u0), v0, float(al)))
             cls = classify_conjugate(hc)
             if cls.is_conjugate:
                 k = cls.kernel / np.linalg.norm(cls.kernel)

@@ -50,8 +50,8 @@ from .errors import (AmbiguousRankError, CrossingEndpointError,
                      SubriemError, UnresolvedCrossingError,
                      ZeroHamiltonianError)
 # d_exp is unused here but kept importable: the benchmark's tracer binds maslov.d_exp
-from .flow import (ExtremalTrajectory, IntegrationStats, d_exp, integrate_extremal,
-                   integrate_extremal_batch, lookup)
+from .flow import (DEFAULT_TOL, ExtremalTrajectory, IntegrationStats, d_exp,
+                   integrate_extremal, integrate_extremal_batch, lookup)
 from .linalg import (RANK_REL_TOL, block_swap, numerical_rank, omega_px,
                      rank_decisions, rank_refusal, rank_split)
 from .structure import Structure
@@ -587,7 +587,8 @@ def _maslov_count(reports: list[CrossingReport]) -> tuple[int, int]:
 
 
 def count_conjugate_on_ray(struct: Structure, point, covector, r: float, s_end: float,
-                           tol: float = 1e-10) -> tuple[list[CrossingReport], IntegrationStats]:
+                           tol: float = DEFAULT_TOL
+                           ) -> tuple[list[CrossingReport], IntegrationStats]:
     """Every conjugate time in (r, s_end) along the ray through ``covector``,
     with multiplicities, located as crossings of the Jacobi curve with the
     vertical space; returned with the cost record of the one integration.
@@ -622,7 +623,7 @@ class ContinuityReport(NamedTuple):
 
 
 def continuity_check(struct: Structure, point, covector, delta_ray: float = 1e-2,
-                     n_rays: int = 50, tol: float = 1e-10,
+                     n_rays: int = 50, tol: float = DEFAULT_TOL,
                      seed: int = 42) -> ContinuityReport:
     """Count conjugate points on rays through a neighborhood of a conjugate
     covector; each must carry exactly the kernel dimension of the center.

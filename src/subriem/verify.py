@@ -23,7 +23,7 @@ import numpy as np
 from . import heisenberg as heis
 from . import jacobi as jac
 from . import maslov as mas
-from .flow import check_constant_speed, integrate_extremal_batch
+from .flow import DEFAULT_TOL, check_constant_speed, integrate_extremal_batch
 from .linalg import block_swap, omega_px, symplectic_defect
 from .structure import make_structure
 
@@ -59,7 +59,7 @@ def _random_covectors(rng, count: int, max_norm: float) -> np.ndarray:
     return np.array(covs)
 
 
-def suite_r1(seed: int = 42, tol: float = 1e-10) -> list[CheckResult]:
+def suite_r1(seed: int = 42, tol: float = DEFAULT_TOL) -> list[CheckResult]:
     struct = make_structure("heisenberg")
     rng = np.random.default_rng(seed)
     covs = np.vstack([_random_covectors(rng, 20, 3.0), np.array(CONJUGATE_COVECTORS)])
@@ -84,7 +84,7 @@ def suite_r1(seed: int = 42, tol: float = 1e-10) -> list[CheckResult]:
     ]
 
 
-def suite_r2(seed: int = 42, tol: float = 1e-10) -> list[CheckResult]:
+def suite_r2(seed: int = 42, tol: float = DEFAULT_TOL) -> list[CheckResult]:
     struct = make_structure("heisenberg")
     out = []
     for label, cov in zip(("2pi", "astar"), CONJUGATE_COVECTORS):
@@ -107,7 +107,7 @@ def suite_r2(seed: int = 42, tol: float = 1e-10) -> list[CheckResult]:
     return out
 
 
-def suite_r3(seed: int = 42, tol: float = 1e-10, n_rays: int = 50,
+def suite_r3(seed: int = 42, tol: float = DEFAULT_TOL, n_rays: int = 50,
              delta_ray: float = 1e-2) -> list[CheckResult]:
     struct = make_structure("heisenberg")
     out = []
@@ -123,7 +123,7 @@ def suite_r3(seed: int = 42, tol: float = 1e-10, n_rays: int = 50,
     return out
 
 
-def suite_oracle(seed: int = 42, tol: float = 1e-10) -> list[CheckResult]:
+def suite_oracle(seed: int = 42, tol: float = DEFAULT_TOL) -> list[CheckResult]:
     struct = make_structure("heisenberg")
     rng = np.random.default_rng(seed)
     covs = _random_covectors(rng, 96, 10.0)
@@ -158,7 +158,7 @@ def suite_oracle(seed: int = 42, tol: float = 1e-10) -> list[CheckResult]:
     ]
 
 
-def run_suite(name: str, seed: int = 42, tol: float = 1e-10) -> list[CheckResult]:
+def run_suite(name: str, seed: int = 42, tol: float = DEFAULT_TOL) -> list[CheckResult]:
     if name == "r1":
         return suite_r1(seed, tol)
     if name == "r2":

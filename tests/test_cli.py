@@ -155,6 +155,67 @@ def test_verify_unknown_suite(capsys):
 E2_FIELDS = [{"components": [[[[0, 0], 1.0]], []]}, {"components": [[], [[[0, 0], 1.0]]]}]
 
 
+#: the Heisenberg fields (README file format) and the three of euclidean:3
+HEIS_FIELDS = [{"components": [[[[0, 0, 0], 1.0]], [], [[[0, 1, 0], -0.5]]]},
+               {"components": [[], [[[0, 0, 0], 1.0]], [[[1, 0, 0], 0.5]]]}]
+E3_FIELDS = [{"components": [[[[0, 0, 0], 1.0]] if i == k else [] for i in range(3)]}
+             for k in range(3)]
+
+
+def test_heisenberg_name_without_its_fields_gets_no_closed_forms(tmp_path, capsys):
+    # the Euclidean exp is injective: a file that only claims the name used to
+    # get a "C1" collision (exit 0) and closed-form class tags
+    path = tmp_path / "fake.json"
+    path.write_text(json.dumps({"name": "heisenberg", "dim": 3, "fields": E3_FIELDS}))
+    code, out, err = run(capsys, "collide", "--structure-file", str(path),
+                         "--covector", "1,0,6.283185307", "--radius", "0.5")
+    assert (code, out) == (1, "")
+    assert "heisenberg" in err
+    code, out, _ = run(capsys, "conjugate", "--structure-file", str(path),
+                       "--covector", "1,0,13", "--format", "csv")
+    assert (code, out) == (0, "t,multiplicity,signature,bracket_lo,bracket_hi\n")
+
+
+def test_heisenberg_fields_under_another_name_get_closed_forms(tmp_path, capsys):
+    path = tmp_path / "h.json"
+    path.write_text(json.dumps({"name": "nilpotent-3", "dim": 3, "fields": HEIS_FIELDS}))
+    code, out, _ = run(capsys, "conjugate", "--structure-file", str(path),
+                       "--covector", "1,0,13")
+    assert code == 0
+    assert [entry["class"] for entry in json.loads(out)] == ["C1", "C0", "C1"]
+    code, out, _ = run(capsys, "conjugate", "--structure-file", str(path),
+                       "--covector", "1,0,13", "--format", "csv")
+    assert out == run(capsys, "conjugate", "--covector", "1,0,13", "--format", "csv")[1]
+    assert out.split("\n")[0].endswith(",class")
+    code, out, _ = run(capsys, "collide", "--structure-file", str(path),
+                       "--covector", "1,0,6.283185307", "--radius", "0.5")
+    assert code == 0
+    assert json.loads(out)["class"] == "C1"
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["geodesic", "--covector", "1,0,2", "--samples", "3"], "--seed=42"),
+    (["jacobi", "--covector", "1,0,2", "--samples", "3"], "--seed=42"),
+    (["collide", "--covector", "1,0,6.283185307", "--radius", "0.5"], "--seed=42"),
+    (["collide", "--covector", "1,0,6.283185307", "--radius", "0.5"], "--tol=1e-10"),
+    (["locus", "--grid", "2x2"], "--seed=42"),
+    (["locus", "--grid", "2x2"], "--tol=1e-10"),
+    (["locus", "--grid", "2x2"], "--structure=heisenberg"),
+    (["locus", "--grid", "2x2"], "--structure-file=heisenberg.json"),
+    (["locus", "--grid", "2x2"], "--point=0,0,0"),
+], ids=lambda v: v if isinstance(v, str) else v[0])
+def test_flag_the_command_does_not_read_is_refused(capsys, argv, flag):
+    # these were parsed and ignored (exit 0); each command takes only the
+    # flags it reads
+    assert run(capsys, *argv)[0] == 0
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, flag])
+    captured = capsys.readouterr()
+    assert exc.value.code == 1
+    assert captured.out == ""
+    assert f"error: unrecognized arguments: {flag}" in captured.err
+
+
 def test_structure_file_flag(tmp_path, capsys):
     path = tmp_path / "e2.json"
     path.write_text(json.dumps({"name": "euclidean:2", "dim": 2, "fields": E2_FIELDS}))
@@ -185,8 +246,7 @@ def test_malformed_structure_file_is_config_error(tmp_path, capsys, cmd, data):
 
 
 def test_deterministic_output_files(tmp_path):
-    args = ["conjugate", "--covector", "1,0,7", "--t-min", "0.1",
-            "--t-max", "1", "--seed", "42"]
+    args = ["conjugate", "--covector", "1,0,7", "--t-min", "0.1", "--t-max", "1"]
     out1 = tmp_path / "a.json"
     out2 = tmp_path / "b.json"
     assert main(args + ["--out", str(out1)]) == 0
@@ -369,7 +429,7 @@ def _malformed(draw):
     flags = {"--covector": "1,0,3"}
     vector = draw(st.sampled_from(["--covector", "--point"]))
     kind = draw(st.sampled_from(["unparsable", "non-finite", "components", "zero-H",
-                                 "window", "tol"]))
+                                 "window", "tol", "seed"]))
     if kind == "unparsable":
         flags[vector] = draw(st.text("0123456789.,-+eE xa", max_size=12)
                              .filter(lambda text: not _parses(text)))
@@ -389,8 +449,11 @@ def _malformed(draw):
         t_min, t_max = draw(st.tuples(_ANY_FLOAT, _ANY_FLOAT)
                             .filter(lambda w: not 0 < w[0] < w[1] < math.inf))
         flags["--t-min"], flags["--t-max"] = repr(t_min), repr(t_max)
-    else:
+    elif kind == "tol":
         flags["--tol"] = repr(draw(_ANY_FLOAT.filter(lambda t: not 1e-13 <= t <= 1e-3)))
+    else:
+        # only verify reads a seed
+        flags["--seed"] = str(draw(st.integers()))
     return [f"{flag}={value}" for flag, value in flags.items()]
 
 
