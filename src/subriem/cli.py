@@ -127,8 +127,8 @@ def _parse_range(text: str, name: str) -> tuple[float, float]:
         lo, hi = (float(part) for part in text.split(":"))
     except ValueError:
         raise ConfigError(f"could not parse {name} {text!r} as lo:hi") from None
-    if hi <= lo:
-        raise ConfigError(f"{name} must satisfy lo < hi")
+    if not -np.inf < lo < hi < np.inf:
+        raise ConfigError(f"{name} must satisfy finite lo < hi")
     return lo, hi
 
 
@@ -302,8 +302,8 @@ def _cmd_collide(args) -> int:
     if not _is_heisenberg(struct):
         raise ConfigError("collide needs the heisenberg structure's fields")
     point, covector = _point_covector(args, struct.n)
-    if args.radius is None or args.radius <= 0:
-        raise ConfigError("--radius must be a positive number")
+    if args.radius is None or not 0 < args.radius < np.inf:
+        raise ConfigError("--radius must be a positive finite number")
     hc = heis.HeisCovector(tuple(point), tuple(covector))
     try:
         # loose gate so covectors entered with truncated digits still qualify;
@@ -346,6 +346,8 @@ def _cmd_locus(args) -> int:
         raise ConfigError("--grid dimensions must be positive")
     u_lo, u_hi = _parse_range(args.u_range, "--u-range")
     a_lo, a_hi = _parse_range(args.alpha_range, "--alpha-range")
+    if not np.isfinite(args.v0):
+        raise ConfigError("--v0 must be finite")
     u_vals = np.linspace(u_lo, u_hi, nu)
     a_vals = np.linspace(a_lo, a_hi, na)
     rows = heis.conjugate_locus_rows(u_vals, a_vals, v0=args.v0)

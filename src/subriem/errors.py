@@ -53,11 +53,5 @@ class DegenerateCrossingError(SubriemError):
 
 
 class SearchFailureError(SubriemError):
-    """An iterative search exhausted its budget.
-
-    ``best_gap`` records the smallest residual reached before giving up.
-    """
-
-    def __init__(self, message, best_gap=None):
-        super().__init__(message)
-        self.best_gap = best_gap
+    """A search could not meet its targets (for a collision: image gap,
+    separation and radius)."""

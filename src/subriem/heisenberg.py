@@ -20,6 +20,21 @@ alpha0 != 0; the kernel of the exponential differential is one-dimensional,
 tangent to the conjugate plane on the sin(alpha0) = 0 branch (class C1,
 kernel (-eta0, xi0, 0)) and transverse on the tan(alpha0/2) = alpha0/2
 branch (class C0, kernel ((eta0+y0)/2, -(xi0+x0)/2, 1)).
+
+Collisions use the group's left invariance: exp at (z0, tau0) is the left
+translate by (z0, tau0) of exp at the identity from (zeta0, alpha0), so two
+covectors over one base point share an image iff their translates do.  At
+the identity the time-one image is
+
+    z' = zeta0 e^{i alpha0/2} s(alpha0),        s(a) = 2 sin(a/2) / a,
+    tau' = |zeta0|^2 (alpha0 - sin alpha0) / (2 alpha0^2) = |z'|^2 F(alpha0),
+                                                F(a) = (a - sin a) / (8 sin^2(a/2)),
+
+with tau(1) = tau0 + Im(conj(z0) z')/2 + tau'.  Rotating zeta0 keeps tau'
+and, where s(alpha0) = 0, z' = 0: that circle is the C1 collapse.  F'(a) is
+-phi(a) / (16 sin^4(a/2)), so F is critical exactly at the fold roots, and a
+fold collision is a pair alpha1, alpha2 on either side of one with
+F(alpha1) = F(alpha2) and zeta scaled and rotated to keep z'.
 """
 
 from __future__ import annotations
@@ -326,17 +341,17 @@ class ConjugateClass(NamedTuple):
 def classify_conjugate(hc: HeisCovector, tol: float = CONJUGATE_TOL) -> ConjugateClass:
     """Classify a covector with H != 0 by the conjugate condition phi(alpha0) = 0.
 
-    The kernel vectors are the exact kernels of the bottom-left block of M(1):
-    span{(-eta0, xi0, 0)} on the sin-zero branch and
-    span{((eta0+y0)/2, -(xi0+x0)/2, 1)} on the fold branch.
+    The branch is the factor of phi = 2 sin(a/2) (a cos(a/2) - 2 sin(a/2))
+    that vanishes, i.e. the smaller one.  The kernel vectors are the exact
+    kernels of the bottom-left block of M(1): span{(-eta0, xi0, 0)} on the
+    sin-zero branch and span{((eta0+y0)/2, -(xi0+x0)/2, 1)} on the fold branch.
     """
     if hc.hamiltonian <= 1e-30:
         raise ZeroHamiltonianError("covector lies in the zero level of H")
     al = hc.alpha0
     if al == 0.0 or abs(phi_conjugate(al)) > tol:
         return ConjugateClass("none", None)
-    k = round(al / (2 * math.pi))
-    if k != 0 and abs(al - 2 * math.pi * k) <= 1e-8:
+    if abs(math.sin(al / 2)) <= abs(al * math.cos(al / 2) - 2 * math.sin(al / 2)):
         kernel = np.array([-hc.eta0, hc.xi0, 0.0])
         return ConjugateClass("C1", kernel)
     x0, y0, _ = hc.base
@@ -357,18 +372,38 @@ class CollisionResult(NamedTuple):
     circle_angle: float | None  # C1 case: angle walked along the kernel circle
 
 
-def _kernel_circle(hc: HeisCovector):
-    """Center and radius of the C1 kernel integral curve in the (u, v) plane."""
-    x0, y0, _ = hc.base
-    al = hc.alpha0
-    center = complex(al * y0 / 2, -al * x0 / 2)
-    return center, abs(hc.zeta0)
-
-
-#: largest image gap of a collision pair, and the fold search's budget of exp
-#: evaluations (Newton steps plus backtracking halvings)
+#: largest image gap of a collision pair
 COLLISION_GAP_TOL = 1e-9
-_FOLD_BUDGET = 200
+
+
+def _covector_over(base, zeta: complex, alpha: float) -> np.ndarray:
+    """The covector over ``base`` whose translate to the identity has
+    horizontal momenta ``zeta`` and vertical component ``alpha``."""
+    x0, y0, _ = base
+    return np.array([zeta.real + alpha * y0 / 2, zeta.imag - alpha * x0 / 2, alpha])
+
+
+def _fold_partner(alpha0: float, alpha1: float) -> float:
+    """The alpha2 across the fold root alpha0 from alpha1 with
+    F(alpha2) = F(alpha1), F(a) = (a - sin a) / (8 sin^2(a/2)).
+
+    Between the multiples of 2 pi around alpha0, where F is unbounded, F is
+    monotone on each side of its one extremum alpha0; so the root lies between
+    alpha0 and the multiple of 2 pi beyond it if F(alpha1) is beyond F(alpha0)
+    as seen from there.  The bisection runs on 8 sin^2(a/2) (F(a) - F(alpha1)),
+    which has F's sign changes and no poles.
+    """
+    k = math.floor(alpha0 / (2 * math.pi))
+    far = 2 * math.pi * (k + 1 if alpha1 < alpha0 else k)
+    f1 = _k_s2(alpha1) / (2 * _k_f2(alpha1 / 2) ** 2)  # F(alpha1), smooth through 0
+
+    def excess(a):
+        return a - math.sin(a) - 8 * f1 * math.sin(a / 2) ** 2
+
+    if excess(alpha0) * far > 0:
+        raise SearchFailureError("the kernel step has no partner across the fold "
+                                 "(radius too large)")
+    return _bisect(excess, min(alpha0, far), max(alpha0, far), tol=4 * math.ulp(alpha0))
 
 
 def find_collision(hc: HeisCovector, radius: float,
@@ -377,17 +412,19 @@ def find_collision(hc: HeisCovector, radius: float,
     the same exponential image (gap <= COLLISION_GAP_TOL, separation >=
     radius/4).
 
-    C1 covectors lie on a circle of constant |zeta0| and alpha0 = 2 pi k that
-    the exponential collapses to one point; two points of the circle are
-    returned.  C0 covectors are fold points: a damped Newton iteration on the
-    transverse coordinates solves exp(lam0 + sA) = exp(lam0 - s2 A + b) for a
-    straddling pair across the kernel direction A.
+    Both classes are solved in closed form on the translate (zeta, alpha) of
+    a covector to the identity (module docstring).  C1 covectors lie on a
+    circle |zeta| = const, alpha0 = 2 pi k, that the exponential collapses to
+    one point: zeta is rotated by the angle psi that gives the separation
+    radius/2.  C0 covectors are fold points: lambda1 steps radius/3 along
+    the kernel, alpha2 solves F(alpha2) = F(alpha1) across the fold, and
+    zeta2 = zeta1 e^{i(alpha1 - alpha2)/2} s(alpha1)/s(alpha2) keeps z'.
 
     ``class_tol`` loosens the conjugacy gate for inputs given with truncated
     digits; the gap requirement is enforced on the result either way.
     """
-    if radius <= 0:
-        raise ValueError("radius must be positive")
+    if not 0 < radius < math.inf:
+        raise ValueError("radius must be positive and finite")
     cls = classify_conjugate(hc, tol=class_tol)
     if not cls.is_conjugate:
         raise ValueError("find_collision requires a conjugate covector")
@@ -395,81 +432,33 @@ def find_collision(hc: HeisCovector, radius: float,
     base = hc.base
 
     if cls.tag == "C1":
-        center, rho = _kernel_circle(hc)
-        d_target = radius / 2
-        if d_target > 1.999 * rho:
+        rho = abs(hc.zeta0)
+        if radius / 2 > 1.999 * rho:
             raise SearchFailureError(
-                "kernel circle too small to reach the requested separation",
-                best_gap=None)
-        psi = 2 * math.asin(d_target / (2 * rho))
-        offset = complex(lam0[0], lam0[1]) - center
-        rotated = center + offset * complex(math.cos(psi), math.sin(psi))
-        lam2 = np.array([rotated.real, rotated.imag, lam0[2]])
-        img1 = heis_exp_point(hc, 1.0)
-        img2 = heis_exp_point(HeisCovector(base, tuple(lam2)), 1.0)
-        gap = float(np.linalg.norm(img1 - img2))
-        if gap > COLLISION_GAP_TOL:
-            raise SearchFailureError(
-                f"kernel-circle images differ by {gap:.3e} (covector not "
-                "conjugate to working precision)", best_gap=gap)
-        return CollisionResult(lam0.copy(), lam2, img1, img2, gap,
-                               float(np.linalg.norm(lam0 - lam2)), psi)
+                "kernel circle too small to reach the requested separation")
+        psi = 2 * math.asin(radius / 2 / (2 * rho))
+        lam1 = lam0.copy()
+        lam2 = _covector_over(base, hc.zeta0 * complex(math.cos(psi), math.sin(psi)),
+                              hc.alpha0)
+    else:
+        psi = None
+        lam1 = lam0 + radius / 3 * (cls.kernel / np.linalg.norm(cls.kernel))
+        al1 = lam1[2]
+        al2 = _fold_partner(hc.alpha0, al1)
+        half = (al1 - al2) / 2
+        zeta2 = (HeisCovector(base, tuple(lam1)).zeta0 * complex(math.cos(half), math.sin(half))
+                 * _k_f2(al1 / 2) / _k_f2(al2 / 2))
+        lam2 = _covector_over(base, zeta2, al2)
 
-    # C0 fold: straddle the kernel direction and solve for the partner
-    a_dir = cls.kernel / np.linalg.norm(cls.kernel)
-    # orthonormal transverse directions
-    basis = np.linalg.svd(a_dir[None, :])[2][1:]
-    t1, t2 = basis[0], basis[1]
-    s = radius / 3
-    lam1 = lam0 + s * a_dir
-    img1 = heis_exp_point(HeisCovector(base, tuple(lam1)), 1.0)
-
-    def exp_of(vec):
-        return heis_exp_point(HeisCovector(base, tuple(vec)), 1.0)
-
-    zeta = np.array([s, 0.0, 0.0])  # (s2, b1, b2)
-
-    def lam2_of(zv):
-        return lam0 - zv[0] * a_dir + zv[1] * t1 + zv[2] * t2
-
-    best_gap = float("inf")
-    best = None
-    budget = _FOLD_BUDGET
-    while budget > 0:
-        lam2 = lam2_of(zeta)
-        res = exp_of(lam2) - img1
-        gap = float(np.linalg.norm(res))
-        if gap < best_gap:
-            best_gap, best = gap, (zeta.copy(), lam2.copy())
-        if gap <= min(COLLISION_GAP_TOL * 1e-3, 1e-12):
-            break
-        jac_exp = heis_d_exp(HeisCovector(base, tuple(lam2)))
-        jac = np.column_stack([jac_exp @ (-a_dir), jac_exp @ t1, jac_exp @ t2])
-        try:
-            step = np.linalg.solve(jac, -res)
-        except np.linalg.LinAlgError:
-            raise SearchFailureError("singular Newton system in fold search",
-                                     best_gap=best_gap) from None
-        lam = 1.0
-        budget -= 1
-        while budget > 0:
-            trial = zeta + lam * step
-            trial_gap = float(np.linalg.norm(exp_of(lam2_of(trial)) - img1))
-            if trial_gap < gap or lam < 1e-4:
-                zeta = trial
-                break
-            lam *= 0.5
-            budget -= 1
-
-    zeta, lam2 = best
-    img2 = exp_of(lam2)
-    gap = float(np.linalg.norm(img2 - img1))
+    img1 = heis_exp_point(HeisCovector(base, tuple(lam1)))
+    img2 = heis_exp_point(HeisCovector(base, tuple(lam2)))
+    gap = float(np.linalg.norm(img1 - img2))
     sep = float(np.linalg.norm(lam1 - lam2))
     if gap > COLLISION_GAP_TOL or sep < radius / 4 or np.linalg.norm(lam2 - lam0) > radius:
         raise SearchFailureError(
-            f"fold search did not meet targets (gap {gap:.3e}, separation {sep:.3e})",
-            best_gap=gap)
-    return CollisionResult(lam1, lam2, img1, img2, gap, sep, None)
+            f"{cls.tag} collision missed its targets (gap {gap:.3e}, separation "
+            f"{sep:.3e}; the covector may not be conjugate to working precision)")
+    return CollisionResult(lam1, lam2, img1, img2, gap, sep, psi)
 
 
 # ---------------------------------------------------------------------------

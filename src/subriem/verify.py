@@ -27,10 +27,12 @@ from .flow import DEFAULT_TOL, check_constant_speed, integrate_extremal_batch
 from .linalg import block_swap, omega_px, symplectic_defect
 from .structure import make_structure
 
-SUITES = ("r1", "r2", "r3", "oracle")
-
 #: the two reference conjugate covectors at the origin
 CONJUGATE_COVECTORS = ((1.0, 0.0, 2 * math.pi), (1.0, 0.0, heis.ALPHA_STAR))
+
+#: the r3 bundle around each reference covector: ray count and spread
+R3_RAYS = 50
+R3_SPREAD = 1e-2
 
 
 class CheckResult(NamedTuple):
@@ -107,13 +109,12 @@ def suite_r2(seed: int = 42, tol: float = DEFAULT_TOL) -> list[CheckResult]:
     return out
 
 
-def suite_r3(seed: int = 42, tol: float = DEFAULT_TOL, n_rays: int = 50,
-             delta_ray: float = 1e-2) -> list[CheckResult]:
+def suite_r3(seed: int = 42, tol: float = DEFAULT_TOL) -> list[CheckResult]:
     struct = make_structure("heisenberg")
     out = []
     for label, cov in zip(("2pi", "astar"), CONJUGATE_COVECTORS):
         report = mas.continuity_check(struct, np.zeros(3), np.array(cov),
-                                      delta_ray, n_rays, tol, seed)
+                                      R3_SPREAD, R3_RAYS, tol, seed)
         total_err = float(np.max(np.abs(report.ray_totals - report.kernel_dim)))
         index_err = float(np.max(np.abs(report.ray_indices + report.kernel_dim)))
         out.append(CheckResult(f"r3/kernel-dim-err[{label}]",
@@ -158,18 +159,13 @@ def suite_oracle(seed: int = 42, tol: float = DEFAULT_TOL) -> list[CheckResult]:
     ]
 
 
+SUITES = {"r1": suite_r1, "r2": suite_r2, "r3": suite_r3, "oracle": suite_oracle}
+
+
 def run_suite(name: str, seed: int = 42, tol: float = DEFAULT_TOL) -> list[CheckResult]:
-    if name == "r1":
-        return suite_r1(seed, tol)
-    if name == "r2":
-        return suite_r2(seed, tol)
-    if name == "r3":
-        return suite_r3(seed, tol)
-    if name == "oracle":
-        return suite_oracle(seed, tol)
+    """The checks of one suite, or of every suite in turn for ``all``."""
     if name == "all":
-        out = []
-        for suite in SUITES:
-            out.extend(run_suite(suite, seed, tol))
-        return out
-    raise ValueError(f"unknown suite {name!r}; choose from {SUITES + ('all',)}")
+        return [res for suite in SUITES.values() for res in suite(seed, tol)]
+    if name not in SUITES:
+        raise ValueError(f"unknown suite {name!r}; choose from {(*SUITES, 'all')}")
+    return SUITES[name](seed, tol)

@@ -118,7 +118,7 @@ def test_criterion_4_r2_suite():
 
 @criterion(5)
 def test_criterion_5_r3_suite():
-    results = verify_mod.suite_r3(n_rays=50, delta_ray=1e-2)
+    results = verify_mod.suite_r3()
     for res in results:
         assert res.passed, res.line()
     _report(5, "50 rays per conjugate covector each carry multiplicity 1 with "

@@ -124,12 +124,31 @@ def test_collide_c1(capsys):
     assert np.allclose(payload["image1"], [0, 0, 1 / (4 * math.pi)], atol=1e-9)
 
 
+@pytest.mark.parametrize("covector, tag, gap_bound", [
+    # 1.1e-7 from 2 pi, inside the 1e-6 gate: this was tagged C0 and given the
+    # fold kernel, which has no partner there (exit 4)
+    ("1,0,6.2831852", "C1", 1e-9),
+    # the fold partner is exact up to rounding
+    ("1,0,8.986818916", "C0", 1e-15),
+])
+def test_collide_truncated_inputs(capsys, covector, tag, gap_bound):
+    code, out, _ = run(capsys, "collide", "--covector", covector, "--radius", "0.1")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["class"] == tag
+    assert payload["gap"] <= gap_bound
+
+
 def test_collide_rejections(capsys):
     code, _, err = run(capsys, "collide", "--covector", "1,0,3", "--radius", "0.5")
     assert code == 1
     code, _, err = run(capsys, "collide", "--covector", "1,0,6.283185307",
                        "--radius", "0")
     assert code == 1
+    # F(alpha1) lies above the fold's maximum: no partner across the fold
+    code, _, err = run(capsys, "collide", "--covector=1,0,-8.986818916", "--radius", "20")
+    assert code == 4
+    assert "no partner across the fold" in err
 
 
 def test_locus_output(capsys):
@@ -362,6 +381,25 @@ def test_non_finite_span_is_config_error(capsys, cmd, t_max):
     assert code == 1
     assert out == ""
     assert "positive" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["collide", "--covector", "1,0,6.283185307179586", "--radius=nan"],
+    ["collide", "--covector", "1,0,8.986818916", "--radius=inf"],
+    ["collide", "--covector", "1,0,6.283185307179586", "--radius=-inf"],
+    ["locus", "--grid", "2x2", "--v0=nan"],
+    ["locus", "--grid", "2x2", "--v0=inf"],
+    ["locus", "--grid", "2x2", "--u-range=nan:1"],
+    ["locus", "--grid", "2x2", "--u-range=0.2:nan"],
+    ["locus", "--grid", "2x2", "--alpha-range=0.25:inf"],
+    ["locus", "--grid", "2x2", "--alpha-range=-inf:10"],
+], ids=lambda argv: argv[-1])
+def test_non_finite_scalar_is_config_error(capsys, argv):
+    # NaN passed `radius <= 0` and `hi <= lo` and printed NaN rows with exit 0;
+    # inf failed later on an unrelated error
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert "finite" in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -243,11 +243,46 @@ def test_collision_c0_fold(heis):
     assert num_gap <= 1e-9
 
 
+@pytest.mark.parametrize("root", [r.alpha for r in heis_conjugate_roots(30.0)
+                                  if r.branch == "sin-nonzero"])
+def test_collision_fold_is_exact_across_roots(root):
+    # the fold partner is exact up to rounding; an iteration stopped at a
+    # residual of 1e-12 would not meet the 1e-14 bound
+    rng = np.random.default_rng(round(root))
+    cases = [HeisCovector((0, 0, 0), (1.0, 0, root))]
+    for sign in (1, -1):
+        cases.append(HeisCovector(tuple(rng.uniform(-1, 1, 3)),
+                                  (*rng.uniform(-1.5, 1.5, 2), sign * root)))
+    for hc in cases:
+        lam0 = np.array(hc.cov)
+        kernel = classify_conjugate(hc).kernel
+        for radius in (0.5, 0.1, 0.02):
+            res = find_collision(hc, radius)
+            assert res.gap <= 1e-14, (hc, radius, res.gap)
+            assert np.array_equal(res.lambda1,
+                                  lam0 + radius / 3 * (kernel / np.linalg.norm(kernel)))
+            assert res.separation >= radius / 4
+            assert np.linalg.norm(res.lambda2 - lam0) <= radius
+            assert res.circle_angle is None
+
+
+def test_classification_branch_is_the_vanishing_factor():
+    # under the CLI's 1e-6 gate, 2 pi +- 1e-7 lay outside a fixed 1e-8 window
+    # around 2 pi k and took the fold kernel
+    for al in (TWO_PI + 1e-7, TWO_PI - 1e-7, -TWO_PI - 1e-7):
+        cls = classify_conjugate(HeisCovector((0, 0, 0), (1.0, 0, al)), tol=1e-6)
+        assert cls.tag == "C1"
+        assert cls.kernel[2] == 0.0
+    for al in (ALPHA_STAR + 1e-7, ALPHA_STAR - 1e-7, -ALPHA_STAR + 1e-7):
+        assert classify_conjugate(HeisCovector((0, 0, 0), (1.0, 0, al)), tol=1e-6).tag == "C0"
+
+
 def test_collision_rejects_bad_inputs():
     with pytest.raises(ValueError):
         find_collision(HeisCovector((0, 0, 0), (1.0, 0, 3.0)), 0.5)
-    with pytest.raises(ValueError):
-        find_collision(HeisCovector((0, 0, 0), (1.0, 0, TWO_PI)), 0.0)
+    for radius in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            find_collision(HeisCovector((0, 0, 0), (1.0, 0, TWO_PI)), radius)
 
 
 def test_classification_agrees_with_ray_counts(heis):
